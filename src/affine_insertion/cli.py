@@ -15,6 +15,7 @@ import sys
 from .affperm import code, format_window, identity, parse_window
 from .cores import (
     bounded_of,
+    conjugate,
     core_of,
     core_of_bounded,
     format_partition,
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -208,14 +209,8 @@ def _convert_to_window(src: str, value: str, n: int):
         if len(c) != n or sorted(c) != list(c) or (c and c[0] != 0):
             raise ValueError("code of a Grassmannian element is weakly increasing from 0")
         lam = tuple(sorted((x for x in c if x), reverse=True))
-        from .cores import conjugate
-
-        return grassmannian_of(core_of_bounded(k_conjugate_or_self(conjugate(lam), n), n), n)
+        return grassmannian_of(core_of_bounded(k_conjugate(conjugate(lam), n), n), n)
     raise ValueError(src)
-
-
-def k_conjugate_or_self(b, n: int):
-    return k_conjugate(b, n) if b else ()
 
 
 def cmd_convert(args) -> int:

@@ -17,7 +17,7 @@ from functools import cache
 
 from .affperm import AffinePermutation, reduced_word
 
-from .strong import StrongTableau
+from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "contains",
     "cells",
     "hook_length",
-    "edge_bit",
     "edge_sequence",
     "is_core",
     "addable_corners",
@@ -72,10 +71,6 @@ class NotGrassmannian(ValueError):
     """Element is not a minimal coset representative."""
 
 
-class NotACover(ValueError):
-    """Pair of cores is not a strong cover."""
-
-
 class NotGrassmannianChain(ValueError):
     """Tableau chain leaves the Grassmannian elements."""
 
@@ -107,19 +102,6 @@ def cells(lam) -> list[tuple[int, int]]:
 
 def hook_length(lam, conj, i: int, j: int) -> int:
     return lam[i - 1] - j + conj[j - 1] - i + 1
-
-
-def edge_bit(lam, d: int) -> int:
-    """Bit p_d of the edge sequence: 1 iff d = lam_i - i for some i >= 1."""
-    lam = tuple(lam)
-    if d <= -len(lam) - 1:
-        return 1
-    for i, part in enumerate(lam, 1):
-        if part - i == d:
-            return 1
-        if part - i < d:
-            return 0
-    return 0
 
 
 def edge_sequence(lam, lo: int, hi: int) -> list[int]:
@@ -186,24 +168,26 @@ def act_on_partition(w: AffinePermutation, lam) -> tuple[int, ...]:
     return out
 
 
+def _class_maxima(lam, n: int) -> dict[int, int]:
+    """Largest shifted bit-1 position lam_i - i + 1 in each class mod n."""
+    lam = check_partition(lam)
+    if not is_core(lam, n):
+        raise NotACore(f"{lam} is not a {n}-core")
+    best = {}
+    for i in itertools.count(1):
+        x = (lam[i - 1] if i <= len(lam) else 0) - i + 1
+        best.setdefault(x % n, x)
+        if len(best) == n:
+            return best
+
+
 def offsets(lam, n: int) -> tuple[int, ...]:
     """Offset sequence d(lam) of an n-core.
 
     >>> offsets((10, 7, 4, 3, 2, 1, 1, 1), 4)
     (-2, 3, -1, 0)
     """
-    lam = check_partition(lam)
-    if not is_core(lam, n):
-        raise NotACore(f"{lam} is not a {n}-core")
-    # shifted bit-1 positions are lam_i - i + 1; take the max per class
-    best = {}
-    for i in itertools.count(1):
-        x = (lam[i - 1] if i <= len(lam) else 0) - i + 1
-        c = x % n
-        if c not in best:
-            best[c] = x
-        if len(best) == n:
-            break
+    best = _class_maxima(lam, n)
     return tuple((best[i % n] - i) // n + 1 for i in range(1, n + 1))
 
 
@@ -250,18 +234,8 @@ def grassmannian_of(lam, n: int) -> AffinePermutation:
     The window values are the per-class maxima of the shifted bit-1
     positions, moved up one period and sorted increasingly.
     """
-    lam = check_partition(lam)
-    if not is_core(lam, n):
-        raise NotACore(f"{lam} is not a {n}-core")
-    best = {}
-    for i in itertools.count(1):
-        x = (lam[i - 1] if i <= len(lam) else 0) - i + 1
-        c = x % n
-        if c not in best:
-            best[c] = x
-        if len(best) == n:
-            break
-    return AffinePermutation(n, sorted(v + n for v in best.values()), validate=False)
+    maxima = _class_maxima(lam, n).values()
+    return AffinePermutation(n, sorted(v + n for v in maxima), validate=False)
 
 
 def bounded_of(lam, n: int) -> tuple[int, ...]:

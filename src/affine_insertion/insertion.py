@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .affperm import AffinePermutation, identity
-from .localrule import CaseTag, FinalPair, InitialTriple, phi_with_audit, psi_with_audit
+from .localrule import CaseTag, FinalPair, InitialTriple, InvalidPair, phi_with_audit, psi_with_audit
 from .strong import StrongStrip, StrongTableau
 from .weak import WeakStrip, WeakTableau
 
@@ -36,10 +36,6 @@ class InputNotBounded(ValueError):
 
 class WeightOverflow(ValueError):
     """wt(U) + rowsums(m) exceeds n-1 in some row."""
-
-
-class InvalidPair(ValueError):
-    """(P, Q) do not bound a growth diagram."""
 
 
 @dataclass(frozen=True)
@@ -108,20 +104,10 @@ class GrowthDiagram:
         return WeakTableau(self.vertices[(0, j)], strips)
 
 
-def _padded_strong(t: StrongTableau, count: int) -> list[StrongStrip]:
-    strips = list(t.strips)
-    cur = t.outside
-    while len(strips) < count:
-        strips.append(StrongStrip(cur, ()))
-    return strips
-
-
-def _padded_weak(t: WeakTableau, count: int) -> list[WeakStrip]:
-    strips = list(t.strips)
-    cur = t.outside
-    while len(strips) < count:
-        strips.append(WeakStrip(cur, frozenset(), cur))
-    return strips
+def _padded(seq, count: int, fill=0) -> tuple:
+    """seq extended to length count by copies of fill."""
+    seq = tuple(seq)
+    return seq + (fill,) * (count - len(seq))
 
 
 def affine_insert(
@@ -146,7 +132,7 @@ def affine_insert(
     nrows = max(len(u_tab.strips), m.nrows)
     ncols = max(len(t_tab.strips), m.ncols)
     rowsums = m.rowsums(nrows)
-    wt_u = u_tab.weight() + (0,) * (nrows - len(u_tab.strips))
+    wt_u = _padded(u_tab.weight(), nrows)
     if any(r >= n for r in rowsums):
         raise InputNotBounded(f"row sums {rowsums} must be < n = {n}")
     if any(a + b > n - 1 for a, b in zip(wt_u, rowsums)):
@@ -154,8 +140,8 @@ def affine_insert(
 
     g = GrowthDiagram(n, l, nrows, ncols)
     g.entries = dict(m.entries)
-    top = _padded_strong(t_tab, ncols)
-    left = _padded_weak(u_tab, nrows)
+    top = _padded(t_tab.strips, ncols, StrongStrip(u, ()))
+    left = _padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v))
     g.vertices[(0, 0)] = t_tab.inside
     for j, s in enumerate(top, 1):
         g.hstrips[(0, j)] = s
@@ -176,17 +162,15 @@ def affine_insert(
     p_tab = g.row_tableau(nrows)
     q_tab = g.column_tableau(ncols)
     # weight bookkeeping of the theorem, rechecked on every run
+    wt_t = _padded(t_tab.weight(), ncols)
     cols = m.colsums(ncols)
-    wt_t = t_tab.weight() + (0,) * (ncols - len(t_tab.strips))
-    assert _padded(p_tab.weight(), ncols) == tuple(a + b for a, b in zip(wt_t, cols))
-    assert _padded(q_tab.weight(), nrows) == tuple(a + b for a, b in zip(wt_u, rowsums))
+    if _padded(p_tab.weight(), ncols) != tuple(a + b for a, b in zip(wt_t, cols)):
+        raise InvalidPair(f"wt(P) = {p_tab.weight()} differs from wt(T) + colsums")
+    if _padded(q_tab.weight(), nrows) != tuple(a + b for a, b in zip(wt_u, rowsums)):
+        raise InvalidPair(f"wt(Q) = {q_tab.weight()} differs from wt(U) + rowsums")
     if return_diagram:
         return p_tab, q_tab, g
     return p_tab, q_tab
-
-
-def _padded(weight: tuple[int, ...], count: int) -> tuple[int, ...]:
-    return weight + (0,) * (count - len(weight))
 
 
 def affine_uninsert(
@@ -202,8 +186,8 @@ def affine_uninsert(
     nrows = len(q_tab.strips)
     ncols = len(p_tab.strips)
     g = GrowthDiagram(n, l, nrows, ncols)
-    bottom = _padded_strong(p_tab, ncols)
-    right = _padded_weak(q_tab, nrows)
+    bottom = _padded(p_tab.strips, ncols, StrongStrip(p_tab.outside, ()))
+    right = _padded(q_tab.strips, nrows, WeakStrip(q_tab.outside, frozenset(), q_tab.outside))
     g.vertices[(nrows, 0)] = p_tab.inside
     for j, s in enumerate(bottom, 1):
         g.hstrips[(nrows, j)] = s

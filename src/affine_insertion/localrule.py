@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .affperm import AffinePermutation, right_mult_transposition
 from .strong import MarkedStrongCover, StrongStrip
-from .weak import WeakStrip, cyclically_decreasing, is_bad, is_nice
+from .weak import WeakStrip, cyclically_decreasing, is_bad, is_nice, step_to
 
 __all__ = [
     "CaseTag",
@@ -74,7 +74,8 @@ class StripFull(PreconditionViolation):
 
 
 class InvalidPair(ValueError):
-    """Reverse insertion reached a state the theory rules out."""
+    """An insertion state the theory rules out, or a pair (P, Q) that
+    bounds no growth diagram."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ def _smallest_above(value: int, bound: int, n: int) -> int | None:
     return value - (value - bound - 1) // n * n
 
 
-def _max_bad_at_low_position(perm: AffinePermutation, a_set, l: int, bound: int | None) -> int:
-    """Largest A-bad q with perm^{-1}(q) <= l (and q < bound if given).
+def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: int | None) -> int:
+    """Largest q with pred(n, a_set, q) and perm^{-1}(q) <= l (and q < bound if given).
 
     Candidates per residue class are the window values perm(m), m in
     (l-n, l], shifted below the bound; the shift keeps the position <= l.
@@ -164,22 +165,12 @@ def _max_bad_at_low_position(perm: AffinePermutation, a_set, l: int, bound: int 
         q = perm(m)
         if bound is not None:
             q = _largest_below(q, bound, n)
-        if is_bad(n, a_set, q) and (best is None or q > best):
+        if pred(n, a_set, q) and (best is None or q > best):
             best = q
     if best is None:
-        raise PreconditionViolation("no admissible bad integer; input outside the rule's domain")
-    return best
-
-
-def _max_nice_at_low_position(perm: AffinePermutation, a_set, l: int, bound: int) -> int:
-    n = perm.n
-    best = None
-    for m in _window_positions(l, n):
-        q = _largest_below(perm(m), bound, n)
-        if is_nice(n, a_set, q) and (best is None or q > best):
-            best = q
-    if best is None:
-        raise PreconditionViolation("no admissible nice integer; input outside the rule's domain")
+        raise PreconditionViolation(
+            f"no admissible integer passing {pred.__name__}; input outside the rule's domain"
+        )
     return best
 
 
@@ -192,27 +183,6 @@ def _min_nice_above_at_low_position(perm: AffinePermutation, a_set, l: int, boun
         if q is not None and is_nice(n, a_set, q) and (best is None or q < best):
             best = q
     return best
-
-
-def _next_nice(n: int, a_set, x: int) -> int:
-    for d in range(1, n + 1):
-        if is_nice(n, a_set, x + d):
-            return x + d
-    raise PreconditionViolation("residue set admits no nice integers")
-
-
-def _next_bad(n: int, a_set, x: int) -> int:
-    for d in range(1, n + 1):
-        if is_bad(n, a_set, x + d):
-            return x + d
-    raise PreconditionViolation("residue set admits no bad integers")
-
-
-def _prev_nice(n: int, a_set, x: int) -> int:
-    for d in range(1, n + 1):
-        if is_nice(n, a_set, x - d):
-            return x - d
-    raise PreconditionViolation("residue set admits no nice integers")
 
 
 def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[FinalPair, CaseTag]:
@@ -239,14 +209,14 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
         return out, CaseTag.A
 
     p0 = u(i) - 1
-    if p0 % n not in a_set:
+    if is_bad(n, a_set, p0):
         raise PreconditionViolation("noncommuting step requires the mark's residue in A")
     a_vee = a_set - {p0 % n}
 
     if s1.size == 0 or s1.last.i != i:
         # Case B: bump to the largest admissible nice integer below u(j).
-        q = _max_nice_at_low_position(u, a_vee, l, bound=u(j))
-        p = _next_nice(n, a_vee, q)
+        q = _max_at_low_position(u, is_nice, a_vee, l, bound=u(j))
+        p = step_to(n, a_vee, q, is_nice)
         a_new = a_vee | {(p - 1) % n}
         a, b = u.position_of(q), u.position_of(p)
         x = cyclically_decreasing(n, a_new) * u
@@ -258,8 +228,8 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     # Case C: replacement bump just before the last produced cover.
     y = s1.last.inside
     b1 = s1.last.j
-    q = _max_bad_at_low_position(y, a_vee, l, bound=p0)
-    p = _next_bad(n, a_vee, q)
+    q = _max_at_low_position(y, is_bad, a_vee, l, bound=p0)
+    p = step_to(n, a_vee, q, is_bad)
     a_new = a_vee | {q % n}
     am, bm = y.position_of(q), y.position_of(p)
     v_prime = right_mult_transposition(y, am, bm)
@@ -282,8 +252,8 @@ def external_insert(pair: FinalPair, l: int) -> FinalPair:
     if weak.size >= n - 1:
         raise StripFull("external insertion needs size(W) < n - 1")
     w, v, a_set = weak.inside, weak.outside, weak.residues
-    q = _max_bad_at_low_position(v, a_set, l, bound=None)
-    p = _next_bad(n, a_set, q)
+    q = _max_at_low_position(v, is_bad, a_set, l, bound=None)
+    p = step_to(n, a_set, q, is_bad)
     a_new = a_set | {q % n}
     a, b = v.position_of(q), v.position_of(p)
     x = cyclically_decreasing(n, a_new) * w
@@ -344,7 +314,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         new_cover = MarkedStrongCover(w, a, b, u, l)
         return InitialPair(WeakStrip(w, a_set, v), s1.prepended(new_cover)), CaseTag.RA
 
-    if (u(b) - 1) % n not in a_set:
+    if is_nice(n, a_set, u(b)):
         raise InvalidPair("noncommuting reverse step requires the bumped residue in A'")
     a_vee = a_set - {(u(b) - 1) % n}
 
@@ -364,7 +334,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     if q_b is not None and (q_c is None or q_b < q_c):
         # Case RB
         q = q_b
-        p = _prev_nice(n, a_vee, q)
+        p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
         i, j = u.position_of(q), u.position_of(p)
         w = cyclically_decreasing(n, a_new).inverse() * v
@@ -374,7 +344,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     if q_c is not None:
         # Case RC
         q = q_c
-        p = _prev_nice(n, a_vee, q)
+        p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
         i1, j1 = s1.first.i, s1.first.j
         z = s1.first.outside

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .affperm import AffinePermutation, identity
-from .cores import core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
+from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
 from .strong import count_strong_tableaux, strong_strips_from
 from .weak import (
     count_weak_tableaux,
@@ -63,10 +63,6 @@ class SingularSystem(ValueError):
 
 class DegreeOverflow(ValueError):
     """Requested computation exceeds the degree bound."""
-
-
-class NotBounded(ValueError):
-    """Partition is not n-bounded."""
 
 
 def compositions(total: int, max_parts: int | None = None):
@@ -182,9 +178,9 @@ class SymPolynomial:
                 acc[key] = acc.get(key, 0) + ca * cb
         out: dict[tuple[int, ...], int] = {}
         for expo, c in acc.items():
-            lam = tuple(sorted((x for x in expo if x), reverse=True))
-            if expo == _padded(lam, nvars):
-                out[lam] = c
+            # each m_lam is read off its one weakly decreasing exponent
+            if list(expo) == sorted(expo, reverse=True):
+                out[tuple(x for x in expo if x)] = c
         return SymPolynomial(deg, out)
 
     def truncate_bounded(self, n: int) -> SymPolynomial:
@@ -196,10 +192,6 @@ class SymPolynomial:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymPolynomial) and self.coeffs == other.coeffs
-
-
-def _padded(t: tuple[int, ...], size: int) -> tuple[int, ...]:
-    return t + (0,) * (size - len(t))
 
 
 def _distinct_perms(items: tuple[int, ...]):
@@ -220,7 +212,7 @@ def _expand_in_vars(p: SymPolynomial, nvars: int) -> dict[tuple[int, ...], int]:
     for lam, c in p.coeffs.items():
         if len(lam) > nvars:
             continue
-        for expo in _distinct_perms(_padded(lam, nvars)):
+        for expo in _distinct_perms(lam + (0,) * (nvars - len(lam))):
             out[expo] = out.get(expo, 0) + c
     return out
 
@@ -363,8 +355,8 @@ def cauchy_check(
     v = v if v is not None else identity(n)
     px = max(dx, 1)
 
-    alphas = [a for total in range(dx + 1) for a in _vectors(px, total)]
-    betas = [b for total in range(vy * (n - 1) + 1) for b in _vectors(vy, total) if all(x < n for x in b)]
+    alphas = [a for total in range(dx + 1) for a in _bounded_vectors((total,) * px, total)]
+    betas = [b for total in range(vy * (n - 1) + 1) for b in _bounded_vectors((n - 1,) * vy, total)]
 
     ws = [w for w in weak_order_lower(v) if w.length <= u.length]
     f_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
@@ -409,17 +401,6 @@ def cauchy_check(
             if lhs != rhs:
                 mismatches.append((alpha, beta, lhs, rhs))
     return CauchyReport(not mismatches, checked, tuple(mismatches))
-
-
-def _vectors(length: int, total: int):
-    """Nonnegative integer vectors of the given length and sum."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _vectors(length - 1, total - first):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)

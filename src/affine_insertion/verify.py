@@ -3,15 +3,13 @@ Verification suites behind the `verify` subcommand and the acceptance tests.
 
 Each suite returns a VerifyResult whose `ok` reflects only theorem-backed
 assertions; conjectural observations go into `reports` and never fail.
-Batch work can fan out over AIK_THREADS worker processes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .affperm import AffinePermutation, elements_by_length, identity, simple_reflection
@@ -30,7 +28,7 @@ from .cores import (
 
 
 from .weak import count_standard_weak, weak_strips_from
-from .symfunc import cauchy_check, pieri_checks, strong_schur, weak_schur
+from .symfunc import _bounded_vectors, cauchy_check, pieri_checks, strong_schur, weak_schur
 
 __all__ = ["VerifyResult", "SUITES", "run_suite"]
 
@@ -49,23 +47,7 @@ class VerifyResult:
         self.lines.append("FAIL " + message)
 
 
-def _pool_size() -> int:
-    try:
-        return max(1, int(os.environ.get("AIK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    size = _pool_size()
-    if size <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, items))
-
-
-def _roundtrip_case(args) -> str | None:
-    triple, l = args
+def _roundtrip_case(triple: InitialTriple, l: int) -> str | None:
     out, _ = phi_with_audit(triple, l)
     back, _ = psi_with_audit(out, l)
     if back != triple:
@@ -93,15 +75,15 @@ def verify_roundtrip(
                 for st in strongs:
                     for e in range(e_max + 1):
                         if wk.size + e < n:
-                            cases.append((InitialTriple(wk, st, e), l))
-    failures = [msg for msg in _pmap(_roundtrip_case, cases) if msg]
+                            cases.append(InitialTriple(wk, st, e))
+    failures = [msg for t in cases if (msg := _roundtrip_case(t, l))]
     for msg in failures[:3]:
         res.fail(msg)
     res.lines.append(f"exhaustive roundtrip: {len(cases)} triples, n={n}, length<={max_len}")
     if samples:
         rng = random.Random(seed)
-        sampled = [( _random_triple(n, l, rng, max_len, strip_max, e_max), l) for _ in range(samples)]
-        failures = [msg for msg in _pmap(_roundtrip_case, sampled) if msg]
+        sampled = [_random_triple(n, l, rng, max_len, strip_max, e_max) for _ in range(samples)]
+        failures = [msg for t in sampled if (msg := _roundtrip_case(t, l))]
         for msg in failures[:3]:
             res.fail(msg)
         res.lines.append(f"sampled roundtrip: {samples} triples, seed={seed}")
@@ -134,7 +116,7 @@ def _random_triple(n, l, rng, max_len, strip_max, e_max) -> InitialTriple:
 
 def verify_global_roundtrip(n: int, dim: int, total: int, l: int = 0) -> VerifyResult:
     """Insert and uninsert every n-bounded dim x dim matrix with entry sum
-    at most total; the weight identities are asserted inside affine_insert."""
+    at most total; affine_insert itself checks the weight identities."""
     res = VerifyResult(True)
     count = 0
     for m in _bounded_matrices(n, dim, total):
@@ -149,18 +131,19 @@ def verify_global_roundtrip(n: int, dim: int, total: int, l: int = 0) -> VerifyR
 
 
 def _bounded_matrices(n: int, dim: int, total: int):
-    cellcount = dim * dim
+    """dim x dim matrices with row sums below n and entry sum at most total,
+    in lexicographic order of their rows."""
 
-    def fill(idx, remaining, acc):
-        if idx == cellcount:
-            yield BoundedMatrix.from_rows([acc[k * dim : (k + 1) * dim] for k in range(dim)])
+    def fill(rows, remaining):
+        if len(rows) == dim:
+            yield BoundedMatrix.from_rows(rows)
             return
-        row = idx // dim
-        used = sum(acc[row * dim : idx])
-        for v in range(min(remaining, n - 1 - used) + 1):
-            yield from fill(idx + 1, remaining - v, acc + [v])
+        cap = min(remaining, n - 1)
+        # a slack coordinate makes the row sums range over 0..cap
+        for row in _bounded_vectors((cap,) * (dim + 1), cap):
+            yield from fill(rows + [row[:-1]], remaining - cap + row[-1])
 
-    yield from fill(0, total, [])
+    yield from fill([], total)
 
 
 def verify_counts(n: int, max_m: int, l: int = 0) -> VerifyResult:
@@ -227,7 +210,8 @@ def verify_rsk_limit(n: int, entries: int, dim: int) -> VerifyResult:
     """grassmannian_rsk at large n equals classical row-insertion RSK."""
     res = VerifyResult(True)
     count = 0
-    for m in _all_matrices(dim, entries):
+    for values in itertools.product(range(entries + 1), repeat=dim * dim):
+        m = BoundedMatrix.from_rows([values[k * dim : (k + 1) * dim] for k in range(dim)])
         if not m.entries:
             continue
         p, q = grassmannian_rsk(m, n, 0)
@@ -240,17 +224,6 @@ def verify_rsk_limit(n: int, entries: int, dim: int) -> VerifyResult:
         count += 1
     res.lines.append(f"rsk-limit: {count} matrices, n={n}, {dim}x{dim}, entries<={entries}")
     return res
-
-
-def _all_matrices(dim: int, entries: int):
-    def fill(idx, acc):
-        if idx == dim * dim:
-            yield BoundedMatrix.from_rows([acc[k * dim : (k + 1) * dim] for k in range(dim)])
-            return
-        for v in range(entries + 1):
-            yield from fill(idx + 1, acc + [v])
-
-    yield from fill(0, [])
 
 
 def _filling_rows(fill, shape, strong: bool) -> list[list[int]]:

@@ -3,9 +3,9 @@ Cyclically decreasing elements, weak strips, and weak tableaux.
 
 A proper subset A of Z/nZ determines the cyclically decreasing element
 c_A; a weak strip from w is an interval w -> c_A * w in left weak order
-with additive length.  The A-nice / A-bad calculus gives an O(n) strip
-test; enumeration goes by brute force over subsets with a length check,
-and the two routes are compared in the test suite.
+with additive length.  The A-nice / A-bad calculus gives the window of
+c_A and an O(n) strip test; enumeration goes by brute force over subsets
+with a length check, and the two routes are compared in the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
-from .affperm import AffinePermutation, identity, simple_reflection
+from .affperm import AffinePermutation, simple_reflection
 
 __all__ = [
     "FullSet",
@@ -26,6 +26,7 @@ __all__ = [
     "cyclically_increasing",
     "is_nice",
     "is_bad",
+    "step_to",
     "apply_cA",
     "WeakStrip",
     "DualWeakStrip",
@@ -73,36 +74,9 @@ def cyclic_components(n: int, members) -> list[tuple[int, int]]:
         while (end + 1) % n in a_set:
             end = (end + 1) % n
         comps.append((start, end))
-    comps.sort(key=lambda c: min(_interval_members(n, c)))
+    # an interval that wraps past n - 1 holds 0, its smallest member
+    comps.sort(key=lambda c: 0 if c[0] > c[1] else c[0])
     return comps
-
-
-def _interval_members(n: int, comp: tuple[int, int]) -> list[int]:
-    a, b = comp
-    out = [a]
-    while a != b:
-        a = (a + 1) % n
-        out.append(a)
-    return out
-
-
-def cyclically_decreasing(n: int, members) -> AffinePermutation:
-    """c_A = product over cyclic components [a,b] of s_b s_{b-1} ... s_a."""
-    w = identity(n)
-    for a, b in cyclic_components(n, members):
-        letters = list(reversed(_interval_members(n, (a, b))))
-        for r in letters:
-            w = w * simple_reflection(n, r)
-    return w
-
-
-def cyclically_increasing(n: int, members) -> AffinePermutation:
-    """Same product with each interval taken in increasing order."""
-    w = identity(n)
-    for a, b in cyclic_components(n, members):
-        for r in _interval_members(n, (a, b)):
-            w = w * simple_reflection(n, r)
-    return w
 
 
 def is_nice(n: int, a_set: frozenset[int], x: int) -> bool:
@@ -111,6 +85,18 @@ def is_nice(n: int, a_set: frozenset[int], x: int) -> bool:
 
 def is_bad(n: int, a_set: frozenset[int], x: int) -> bool:
     return x % n not in a_set
+
+
+def step_to(n: int, a_set: frozenset[int], x: int, pred, step: int = 1) -> int:
+    """The first x + k*step, k >= 1, with pred(n, a_set, .) true.
+
+    A proper residue set leaves both nice and bad integers in every run of
+    n consecutive integers, so at most n steps are taken.
+    """
+    for k in range(1, n + 1):
+        if pred(n, a_set, x + k * step):
+            return x + k * step
+    raise FullSet(f"residue set {sorted(a_set)} admits no integer passing {pred.__name__}")
 
 
 def apply_cA(n: int, members, i: int) -> int:
@@ -122,10 +108,34 @@ def apply_cA(n: int, members, i: int) -> int:
     a_set = normalize_residues(n, members)
     if not is_nice(n, a_set, i):
         return i - 1
-    j = i + 1
-    while not is_nice(n, a_set, j):
-        j += 1
-    return j - 1
+    return step_to(n, a_set, i, is_nice) - 1
+
+
+def cyclically_decreasing(n: int, members) -> AffinePermutation:
+    """c_A = product over cyclic components [a,b] of s_b s_{b-1} ... s_a.
+
+    The window comes from the closed form of apply_cA, filled from the
+    right so that the next A-nice integer above i is always at hand.
+    """
+    a_set = normalize_residues(n, members)
+    window = [0] * n
+    next_nice = step_to(n, a_set, n, is_nice)
+    for i in range(n, 0, -1):
+        if is_nice(n, a_set, i):
+            window[i - 1] = next_nice - 1
+            next_nice = i
+        else:
+            window[i - 1] = i - 1
+    return AffinePermutation(n, window, validate=False)
+
+
+def cyclically_increasing(n: int, members) -> AffinePermutation:
+    """Same product with each interval taken in increasing order.
+
+    Components are separated by a missing residue, so their factors
+    commute and the increasing product is the inverse of c_A.
+    """
+    return cyclically_decreasing(n, members).inverse()
 
 
 @dataclass(frozen=True)

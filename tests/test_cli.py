@@ -115,6 +115,13 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_missing_input_file_exit_code(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert main(["render", "--kind", "weak", "--n", "3", "--tableau", missing]) == 2
+    assert main(["insert", "--reverse", "--pair", missing, "--n", "3"]) == 2
+    assert "missing.json" in capsys.readouterr().err
+
+
 def test_deterministic_json(capsys):
     rc, first = run(capsys, "insert", "--n", "3", "--matrix", "[[1,1],[2,0]]", "--format", "json")
     rc, second = run(capsys, "insert", "--n", "3", "--matrix", "[[1,1],[2,0]]", "--format", "json")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from affine_insertion import cores, insertion, localrule, strong, symfunc, verify
 from affine_insertion.affperm import from_reduced_word, identity
 from affine_insertion.cores import core_of, strong_tableau_filling, weak_tableau_filling
 from affine_insertion.insertion import (
@@ -106,6 +107,11 @@ def test_exhaustive_global_roundtrip_small():
         assert m2 == m and not t.strips and not u.strips
         count += 1
     assert count == 27  # 2x2 rows summing <= 2, grand total <= 3
+
+
+def test_verify_enumerates_bounded_matrices_in_cell_order():
+    for n, dim, total in ((3, 2, 3), (2, 3, 2), (4, 3, 4)):
+        assert list(verify._bounded_matrices(n, dim, total)) == list(_bounded_matrices(n, dim, total))
 
 
 def _bounded_matrices(n, dim, total):
@@ -213,3 +219,17 @@ def test_global_roundtrip_shifted_slot():
             p, q = grassmannian_rsk(m, n, l)
             t, u, m2 = affine_uninsert(p, q, l)
             assert m2 == m and not t.strips and not u.strips
+
+
+def test_exception_names_are_one_class_each():
+    assert insertion.InvalidPair is localrule.InvalidPair
+    assert cores.NotACover is strong.NotACover
+    assert symfunc.NotBounded is cores.NotBounded
+
+
+@pytest.mark.parametrize("tableau", [StrongTableau, WeakTableau])
+def test_weight_identity_failure_raises_invalid_pair(monkeypatch, tableau):
+    # a raise, unlike an assert, still fires under python -O
+    monkeypatch.setattr(tableau, "weight", lambda self: ())
+    with pytest.raises(InvalidPair, match="differs"):
+        grassmannian_rsk(GROWTH_MATRIX, 3)

@@ -51,17 +51,33 @@ def test_cyclically_decreasing_element():
     assert cyclically_decreasing(4, set()).is_identity
 
 
+def _component_product(n, members, decreasing):
+    """The product of simple reflections over the cyclic components [a, b]
+    of A: s_b ... s_a for each when decreasing, s_a ... s_b otherwise."""
+    word = []
+    for a, b in cyclic_components(n, members):
+        letters = [(a + k) % n for k in range((b - a) % n + 1)]
+        word += reversed(letters) if decreasing else letters
+    return from_reduced_word(n, word)
+
+
+def _proper_subsets(max_n):
+    for n in range(2, max_n + 1):
+        for r in range(n):
+            for members in itertools.combinations(range(n), r):
+                yield n, members
+
+
 def test_apply_cA_closed_form():
     assert all(apply_cA(5, set(), i) == i for i in range(-3, 9))
     assert apply_cA(10, A10, 12) == 11
     # exhaustive agreement with the full product, and length additivity
-    for n in (2, 3, 4, 5, 6):
-        for r in range(n):
-            for members in itertools.combinations(range(n), r):
-                c = cyclically_decreasing(n, members)
-                assert c.length == r
-                for i in range(1, 3 * n + 1):
-                    assert apply_cA(n, members, i) == c(i)
+    for n, members in _proper_subsets(6):
+        c = _component_product(n, members, decreasing=True)
+        assert c.length == len(members)
+        assert cyclically_decreasing(n, members) == c
+        for i in range(1, 3 * n + 1):
+            assert apply_cA(n, members, i) == c(i)
 
 
 def test_nicebad_order_preserving_bijection():
@@ -164,6 +180,8 @@ def test_cyclically_increasing():
     c = cyclically_increasing(4, {0, 1})
     assert c == simple_reflection(4, 0) * simple_reflection(4, 1)
     assert c.length == 2
+    for n, members in _proper_subsets(6):
+        assert cyclically_increasing(n, members) == _component_product(n, members, decreasing=False)
 
 
 def test_weak_tableaux_enumeration():
