@@ -59,12 +59,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def rank(text: str) -> int:
+    """argparse type of --n: the rank n of the affine symmetric group, n >= 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"rank must be at least 2, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="affins", description=__doc__)
     sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("insert", help="affine insertion of an n-bounded matrix")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--matrix", help="JSON array-of-arrays or whitespace grid")
     p.add_argument("--u", help="window of u (requires --v equal to it)")
@@ -76,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_insert)
 
     p = sub.add_parser("convert", help="apply the window/core/bounded/offsets/code bijections")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--from", dest="src", choices=CONVERT_KINDS, required=True)
     p.add_argument("--to", dest="dst", choices=CONVERT_KINDS, required=True)
     p.add_argument("value")
@@ -84,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="strips, covers, or tableaux from an element")
     p.add_argument("kind", choices=("weak-strips", "strong-strips", "covers", "weak-tableaux", "strong-tableaux"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--inside", required=True, help="window")
     p.add_argument("--outside", help="window (tableaux kinds)")
@@ -94,18 +102,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="ASCII-render a tableau JSON document")
     p.add_argument("--kind", choices=("weak", "strong"), required=True)
     p.add_argument("--tableau", required=True, help="path of a tableau JSON file, or - for stdin")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("kschur", help="monomial expansion of a k-Schur function")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--shape", required=True, help="bounded partition, e.g. (2,2)")
     p.add_argument("--spin", action="store_true", help="spin-graded coefficients")
     p.set_defaults(func=cmd_kschur)
 
     p = sub.add_parser("cauchy", help="check the affine Cauchy identity")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--dx", type=int, default=3)
     p.add_argument("--vy", type=int, default=2)
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cauchy)
 
     p = sub.add_parser("pieri", help="check the four Pieri rules at one element")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--w", required=True, help="window")
     p.add_argument("--r", type=int, required=True)
@@ -125,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("roundtrip", "cauchy", "pieri", "counts", "rsk-limit", "symmetry", "global-roundtrip"),
     )
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--max", type=int, default=3, help="length bound (roundtrip, pieri, symmetry)")
     p.add_argument("--max-m", dest="max_m", type=int, default=4, help="counts bound")
@@ -143,8 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_doc(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return json.loads(text)
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def cmd_insert(args) -> int:

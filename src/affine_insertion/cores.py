@@ -23,7 +23,6 @@ from .weak import WeakTableau
 __all__ = [
     "NotACore",
     "NotBounded",
-    "NotGrassmannian",
     "NotACover",
     "NotGrassmannianChain",
     "check_partition",
@@ -65,10 +64,6 @@ class NotACore(ValueError):
 
 class NotBounded(ValueError):
     """Partition has a part of size n or larger."""
-
-
-class NotGrassmannian(ValueError):
-    """Element is not a minimal coset representative."""
 
 
 class NotGrassmannianChain(ValueError):
@@ -437,11 +432,12 @@ def _grassmannian_chain_cores(elements) -> list[tuple[int, ...]]:
 
 def spin_tableau(t: StrongTableau) -> int:
     """Total spin of a strong tableau over a Grassmannian chain."""
-    total = 0
-    for cover in t.covers():
-        mu, lam = _grassmannian_chain_cores((cover.inside, cover.outside))
-        total += spin_of_marked_cover(mu, lam, cover.inside.n, cover.mark)
-    return total
+    covers = t.covers()
+    chain = _grassmannian_chain_cores([t.inside] + [c.outside for c in covers])
+    return sum(
+        spin_of_marked_cover(mu, lam, t.inside.n, cover.mark)
+        for cover, mu, lam in zip(covers, chain, chain[1:])
+    )
 
 
 def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:
@@ -458,16 +454,15 @@ def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:
 
 def strong_tableau_filling(t_tab: StrongTableau) -> dict[tuple[int, int], tuple[int, int, bool]]:
     """Cell -> (strip letter, cover index within strip, starred head)."""
+    covers = [
+        (k, idx, cover) for k, strip in enumerate(t_tab.strips, 1) for idx, cover in enumerate(strip.covers, 1)
+    ]
+    chain = _grassmannian_chain_cores([t_tab.inside] + [cover.outside for _, _, cover in covers])
     fill = {}
-    for k, strip in enumerate(t_tab.strips, 1):
-        for idx, cover in enumerate(strip.covers, 1):
-            mu = core_of(cover.inside)
-            lam = core_of(cover.outside)
-            if not cover.inside.is_grassmannian(0) or not cover.outside.is_grassmannian(0):
-                raise NotGrassmannianChain("strong tableau leaves the Grassmannian")
-            for cell in set(cells(lam)) - set(cells(mu)):
-                i, j = cell
-                fill[cell] = (k, idx, j - i == cover.mark - 1)
+    for (k, idx, cover), mu, lam in zip(covers, chain, chain[1:]):
+        for cell in set(cells(lam)) - set(cells(mu)):
+            i, j = cell
+            fill[cell] = (k, idx, j - i == cover.mark - 1)
     return fill
 
 
@@ -484,7 +479,8 @@ def _render_grid(shape, cell_text) -> str:
 
 
 def render_weak_tableau(u_tab: WeakTableau) -> str:
-    """ASCII grid of the k-tableau letters.
+    """ASCII grid of the k-tableau letters; cells of a skew tableau's inner
+    core print as '.'.
 
     >>> from .affperm import identity
     >>> print(render_weak_tableau(WeakTableau(identity(2), ())))
@@ -492,20 +488,22 @@ def render_weak_tableau(u_tab: WeakTableau) -> str:
     """
     fill = weak_tableau_filling(u_tab)
     shape = core_of(u_tab.outside)
-    return _render_grid(shape, lambda c: str(fill[c]))
+    return _render_grid(shape, lambda c: str(fill.get(c, ".")))
 
 
 def render_strong_tableau(t_tab: StrongTableau) -> str:
     """ASCII grid with letters, cover subscripts, and stars on marked heads.
 
     Cover subscripts are dropped when every strip is a single cover, as in
-    standard tableaux.
+    standard tableaux.  Cells of a skew tableau's inner core print as '.'.
     """
     fill = strong_tableau_filling(t_tab)
     shape = core_of(t_tab.outside)
     subscripts = any(s.size > 1 for s in t_tab.strips)
 
     def text(cell):
+        if cell not in fill:
+            return "."
         k, idx, star = fill[cell]
         body = f"{k}_{idx}" if subscripts else str(k)
         return body + ("*" if star else "")

@@ -47,8 +47,8 @@ class BoundedMatrix:
     def __post_init__(self):
         cleaned = {}
         for (i, j), v in self.entries.items():
-            if i < 1 or j < 1 or v < 0:
-                raise ValueError(f"bad matrix entry {v} at ({i}, {j})")
+            if not isinstance(v, int) or i < 1 or j < 1 or v < 0:
+                raise ValueError(f"bad matrix entry {v!r} at ({i}, {j})")
             if v:
                 cleaned[(i, j)] = v
         object.__setattr__(self, "entries", cleaned)
@@ -281,7 +281,8 @@ def classical_unrsk(p_rows, q_rows) -> BoundedMatrix:
     entries: dict[tuple[int, int], int] = {}
     while cells:
         rec, r, c = cells.pop()
-        assert c == len(q[r]) - 1
+        if c != len(q[r]) - 1:
+            raise ValueError(f"not a recording tableau: {q_rows}")
         q[r].pop()
         val = p[r].pop(c)
         for rr in range(r - 1, -1, -1):

@@ -99,6 +99,11 @@ def pair_to_json(p: StrongTableau, q: WeakTableau, n: int, l: int) -> dict:
 
 
 def pair_from_json(d: dict) -> tuple[StrongTableau, WeakTableau, int, int]:
+    if not isinstance(d, dict):
+        raise ValueError(f"a pair document is a JSON object, not {type(d).__name__}")
+    missing = [key for key in ("n", "l", "P", "Q") if key not in d]
+    if missing:
+        raise ValueError(f"pair document is missing key(s): {', '.join(missing)}")
     n, l = d["n"], d["l"]
     return (
         strong_tableau_from_json(d["P"], n, l),

@@ -13,8 +13,6 @@ exact power-series equality and needs no symmetry assumption.
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,6 +32,7 @@ __all__ = [
     "SingularSystem",
     "DegreeOverflow",
     "NotBounded",
+    "NotSymmetric",
     "compositions",
     "count_matrices",
     "WeightPolynomial",
@@ -65,16 +64,17 @@ class DegreeOverflow(ValueError):
     """Requested computation exceeds the degree bound."""
 
 
-def compositions(total: int, max_parts: int | None = None):
-    """Positive integer compositions of total, at most max_parts parts."""
+class NotSymmetric(ValueError):
+    """A generating function that must be symmetric is not."""
+
+
+def compositions(total: int):
+    """Positive integer compositions of total."""
     if total == 0:
         yield ()
         return
-    if max_parts is not None and max_parts <= 0:
-        return
     for first in range(1, total + 1):
-        rest_parts = None if max_parts is None else max_parts - 1
-        for rest in compositions(total - first, rest_parts):
+        for rest in compositions(total - first):
             yield (first,) + rest
 
 
@@ -125,7 +125,7 @@ class WeightPolynomial:
         failures = []
         for lam in partitions(self.degree):
             base = self.coeffs.get(lam, 0)
-            for comp in set(itertools.permutations(lam)):
+            for comp in _distinct_perms(lam):
                 got = self.coeffs.get(comp, 0)
                 if got != base:
                     failures.append((lam, comp, base, got))
@@ -217,14 +217,14 @@ def _expand_in_vars(p: SymPolynomial, nvars: int) -> dict[tuple[int, ...], int]:
     return out
 
 
-def h_poly(r: int, degree: int | None = None) -> SymPolynomial:
+def h_poly(r: int) -> SymPolynomial:
     """Complete homogeneous h_r = sum of all m_lam with |lam| = r."""
-    return SymPolynomial(degree or r, {lam: 1 for lam in partitions(r)})
+    return SymPolynomial(r, {lam: 1 for lam in partitions(r)})
 
 
-def e_poly(r: int, degree: int | None = None) -> SymPolynomial:
+def e_poly(r: int) -> SymPolynomial:
     """Elementary e_r = m_(1^r)."""
-    return SymPolynomial(degree or r, {(1,) * r if r else (): 1})
+    return SymPolynomial(r, {(1,) * r: 1})
 
 
 def strong_weight_function(u: AffinePermutation, v: AffinePermutation, l: int) -> WeightPolynomial:
@@ -259,12 +259,18 @@ def strong_schur(
     return wf.to_monomial(), wf.symmetry_report()
 
 
-def weak_schur(u: AffinePermutation, v: AffinePermutation) -> SymPolynomial:
-    """Monomial expansion of the weak Schur function; symmetry is asserted."""
-    wf = weak_weight_function(u, v)
+def _symmetric_monomial(wf: WeightPolynomial, what: str) -> SymPolynomial:
+    """Monomial expansion of a function whose symmetry is a theorem;
+    raise NotSymmetric if the counts say otherwise."""
     report = wf.symmetry_report()
-    assert report.symmetric, f"weak Schur symmetry failed: {report.failures[:3]}"
+    if not report.symmetric:
+        raise NotSymmetric(f"{what} is not symmetric; failures {report.failures[:3]}")
     return wf.to_monomial()
+
+
+def weak_schur(u: AffinePermutation, v: AffinePermutation) -> SymPolynomial:
+    """Monomial expansion of the weak Schur function; symmetry is checked."""
+    return _symmetric_monomial(weak_weight_function(u, v), "weak Schur function")
 
 
 def _grassmannian_from_bounded(b, n: int) -> AffinePermutation:
@@ -278,9 +284,7 @@ def k_schur(b, n: int) -> SymPolynomial:
     """Monomial expansion of the k-Schur function of an n-bounded partition,
     as the strong Schur function of its Grassmannian element (k = n-1)."""
     u = _grassmannian_from_bounded(b, n)
-    poly, report = strong_schur(u, identity(n), l=0)
-    assert report.symmetric, f"k-Schur must be symmetric; failures {report.failures[:3]}"
-    return poly
+    return _symmetric_monomial(strong_weight_function(u, identity(n), 0), f"k-Schur function of {b}")
 
 
 @dataclass(frozen=True)
@@ -411,22 +415,11 @@ class PieriReport:
     mismatches: tuple = ()
 
 
-def _convolve_h(counts, r: int, alpha: tuple[int, ...]) -> int:
-    """[x^alpha] (h_r * f) from composition counts of f."""
-    total = 0
-    for gamma in _bounded_vectors(alpha, r):
-        total += counts(tuple(a - g for a, g in zip(alpha, gamma)))
-    return total
-
-
-def _convolve_e(counts, r: int, alpha: tuple[int, ...]) -> int:
-    """[x^alpha] (e_r * f): exponents of e_r are 0/1 vectors."""
-    total = 0
-    for ones in itertools.combinations(range(len(alpha)), r):
-        if all(alpha[i] >= 1 for i in ones):
-            gamma = tuple(1 if i in ones else 0 for i in range(len(alpha)))
-            total += counts(tuple(a - g for a, g in zip(alpha, gamma)))
-    return total
+def _convolve(counts, caps: tuple[int, ...], r: int, alpha: tuple[int, ...]) -> int:
+    """[x^alpha] (g * f) from composition counts of f, where the exponent
+    vectors of g are those of sum r below caps: caps = alpha for g = h_r,
+    and min(a, 1) per part of alpha for g = e_r."""
+    return sum(counts(tuple(a - g for a, g in zip(alpha, gamma))) for gamma in _bounded_vectors(caps, r))
 
 
 def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, PieriReport]:
@@ -441,53 +434,37 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     """
     e = identity(n)
     d = w.length + r
-    reports = {}
-
     strong_w = strong_weight_function(w, e, l)
-    weak_targets = [s.outside for s in weak_strips_from(w, r)]
-    strong_targets = [strong_weight_function(z, e, l) for z in weak_targets]
-    mism = []
-    for alpha in compositions(d):
-        lhs = _convolve_h(lambda c: strong_w[c], r, alpha)
-        rhs = sum(t[alpha] for t in strong_targets)
-        if lhs != rhs:
-            mism.append((alpha, lhs, rhs))
-    reports["strong"] = PieriReport(not mism, "strong", d, tuple(mism))
-
-    dual_targets = [strong_weight_function(s.outside, e, l) for s in dual_weak_strips_from(w, r)]
-    mism = []
-    for alpha in compositions(d):
-        lhs = _convolve_e(lambda c: strong_w[c], r, alpha)
-        rhs = sum(t[alpha] for t in dual_targets)
-        if lhs != rhs:
-            mism.append((alpha, lhs, rhs))
-    reports["dual_strong"] = PieriReport(not mism, "dual_strong", d, tuple(mism))
-
     weak_w = weak_weight_function(w, e)
-    strong_strip_targets = [weak_weight_function(s.outside, e) for s in strong_strips_from(w, r, l)]
-    mism = []
-    for alpha in compositions(d):
-        if any(a >= n for a in alpha):
-            continue
-        lhs = _convolve_h(lambda c: weak_w[c], r, alpha)
-        rhs = sum(t[alpha] for t in strong_strip_targets)
-        if lhs != rhs:
-            mism.append((alpha, lhs, rhs))
-    reports["weak"] = PieriReport(not mism, "weak", d, tuple(mism))
 
-    winv = w.inverse()
-    dual_weak_targets = [
-        weak_weight_function(s.outside.inverse(), e) for s in strong_strips_from(winv, r, l)
+    def h_caps(alpha):
+        return alpha
+
+    def e_caps(alpha):
+        return tuple(min(a, 1) for a in alpha)
+
+    # (name, base, caps, bounded quotient, targets), in the order reported
+    rules = [
+        ("strong", strong_w, h_caps, False,
+         [strong_weight_function(s.outside, e, l) for s in weak_strips_from(w, r)]),
+        ("dual_strong", strong_w, e_caps, False,
+         [strong_weight_function(s.outside, e, l) for s in dual_weak_strips_from(w, r)]),
+        ("weak", weak_w, h_caps, True,
+         [weak_weight_function(s.outside, e) for s in strong_strips_from(w, r, l)]),
+        ("dual_weak", weak_w, e_caps, True,
+         [weak_weight_function(s.outside.inverse(), e) for s in strong_strips_from(w.inverse(), r, l)]),
     ]
-    mism = []
-    for alpha in compositions(d):
-        if any(a >= n for a in alpha):
-            continue
-        lhs = _convolve_e(lambda c: weak_w[c], r, alpha)
-        rhs = sum(t[alpha] for t in dual_weak_targets)
-        if lhs != rhs:
-            mism.append((alpha, lhs, rhs))
-    reports["dual_weak"] = PieriReport(not mism, "dual_weak", d, tuple(mism))
+    reports = {}
+    for name, base, caps, bounded, targets in rules:
+        mism = []
+        for alpha in compositions(d):
+            if bounded and any(a >= n for a in alpha):
+                continue
+            lhs = _convolve(base.__getitem__, caps(alpha), r, alpha)
+            rhs = sum(t[alpha] for t in targets)
+            if lhs != rhs:
+                mism.append((alpha, lhs, rhs))
+        reports[name] = PieriReport(not mism, name, d, tuple(mism))
     return reports
 
 
@@ -525,6 +502,15 @@ def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int]:
     return [int(x) for x in sol]
 
 
+def _basis_function(basis: str, n: int, l: int):
+    """w -> monomial expansion of the strong or the weak Schur function of w."""
+    if basis == "strong":
+        return lambda w: strong_schur(w, identity(n), l)[0]
+    if basis == "weak":
+        return lambda w: weak_schur(w, identity(n))
+    raise ValueError(f"unknown basis {basis!r}")
+
+
 def expand_in_basis(
     f: SymPolynomial, basis: str, n: int, l: int = 0
 ) -> dict[AffinePermutation, int]:
@@ -533,24 +519,19 @@ def expand_in_basis(
     The strong basis spans the subring generated by h_1..h_{n-1}; the weak
     basis spans the bounded quotient, where f is first truncated.
     """
-    if basis not in ("strong", "weak"):
-        raise ValueError(f"unknown basis {basis!r}")
+    schur = _basis_function(basis, n, l)
     if basis == "weak":
         f = f.truncate_bounded(n)
     out: dict[AffinePermutation, int] = {}
     for d in range(f.degree + 1):
         piece = f.homogeneous_piece(d)
-        elements = grassmannians_by_length(n, d)
-        if basis == "strong":
-            keys = sorted(partitions(d))
-            vecs = [strong_schur(wv, identity(n), l)[0] for wv in elements]
-        else:
-            keys = sorted(lam for lam in partitions(d) if not lam or lam[0] < n)
-            vecs = [weak_schur(wv, identity(n)) for wv in elements]
         if not piece:
             continue
+        elements = grassmannians_by_length(n, d)
         if not elements:
             raise SingularSystem(f"no basis elements at degree {d}")
+        keys = sorted(partitions(d, None if basis == "strong" else n - 1))
+        vecs = [schur(wv) for wv in elements]
         rows = [[vec.coeffs.get(key, 0) for vec in vecs] for key in keys]
         rhs = [piece.get(key, 0) for key in keys]
         for coeff, wv in zip(_solve_integer_system(rows, rhs), elements):
@@ -563,12 +544,5 @@ def structure_constants(
     u: AffinePermutation, v: AffinePermutation, basis: str, n: int, l: int = 0
 ) -> dict[AffinePermutation, int]:
     """Schubert structure constants by expanding a product of basis elements."""
-    if basis == "strong":
-        fu, _ = strong_schur(u, identity(n), l)
-        fv, _ = strong_schur(v, identity(n), l)
-    elif basis == "weak":
-        fu = weak_schur(u, identity(n))
-        fv = weak_schur(v, identity(n))
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return expand_in_basis(fu * fv, basis, n, l)
+    schur = _basis_function(basis, n, l)
+    return expand_in_basis(schur(u) * schur(v), basis, n, l)

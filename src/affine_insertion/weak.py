@@ -213,23 +213,26 @@ def weak_strip_between(w: AffinePermutation, v: AffinePermutation) -> WeakStrip 
     return WeakStrip(w, members, v)
 
 
-def weak_strips_from(w: AffinePermutation, r: int) -> list[WeakStrip]:
-    """All weak strips of size r with the given inside.
-
-    Brute force over all r-subsets of Z/nZ, validated by length additivity.
-    """
+def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> list:
+    """Brute force over all r-subsets A of Z/nZ: the strips w -> element(n, A) * w
+    whose length is additive."""
     n = w.n
     if not 0 <= r <= n - 1:
         return []
     if r == 0:
-        return [WeakStrip(w, frozenset(), w)]
+        return [strip_class(w, frozenset(), w)]
     out = []
     for combo in itertools.combinations(range(n), r):
         members = frozenset(combo)
-        v = cyclically_decreasing(n, members) * w
+        v = element(n, members) * w
         if v.length == w.length + r:
-            out.append(WeakStrip(w, members, v))
+            out.append(strip_class(w, members, v))
     return out
+
+
+def weak_strips_from(w: AffinePermutation, r: int) -> list[WeakStrip]:
+    """All weak strips of size r with the given inside."""
+    return _strips_from(w, r, cyclically_decreasing, WeakStrip)
 
 
 @dataclass(frozen=True)
@@ -256,18 +259,8 @@ class DualWeakStrip:
 
 
 def dual_weak_strips_from(w: AffinePermutation, r: int) -> list[DualWeakStrip]:
-    n = w.n
-    if not 0 <= r <= n - 1:
-        return []
-    if r == 0:
-        return [DualWeakStrip(w, frozenset(), w)]
-    out = []
-    for combo in itertools.combinations(range(n), r):
-        members = frozenset(combo)
-        v = cyclically_increasing(n, members) * w
-        if v.length == w.length + r:
-            out.append(DualWeakStrip(w, members, v))
-    return out
+    """All dual weak strips of size r with the given inside."""
+    return _strips_from(w, r, cyclically_increasing, DualWeakStrip)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import gc
 import json
+import warnings
 
 import pytest
 
+from affine_insertion import verify
 from affine_insertion.cli import main
+from affine_insertion.symfunc import NotSymmetric
 
 
 def run(capsys, *argv):
@@ -126,3 +130,74 @@ def test_deterministic_json(capsys):
     rc, first = run(capsys, "insert", "--n", "3", "--matrix", "[[1,1],[2,0]]", "--format", "json")
     rc, second = run(capsys, "insert", "--n", "3", "--matrix", "[[1,1],[2,0]]", "--format", "json")
     assert first == second
+
+
+def test_skew_insert_renders_inner_cells_as_dots(capsys):
+    argv = ["insert", "--n", "3", "--u", "[0,2,4]", "--v", "[0,2,4]", "--matrix", "[[1,1],[0,1]]"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert out.splitlines() == [
+        "P =",
+        "2_1  2_2",
+        ".    1_1* 2_1* 2_2*",
+        "Q =",
+        "1 2",
+        ". 1 1 2",
+        "outside: [-1,0,7]",
+    ]
+    rc, out = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["P_core"] == "(4,2)"
+
+
+def test_read_doc_closes_its_file(capsys, tmp_path):
+    rc, out = run(capsys, "insert", "--n", "3", "--matrix", "[[0,1,0],[0,0,2],[1,0,1]]", "--format", "json")
+    path = tmp_path / "pair.json"
+    path.write_text(out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["insert", "--reverse", "--pair", str(path), "--n", "3"]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects bad usage this way
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, pair, message", [
+    (["insert", "--n", "1", "--matrix", "[[0]]"], None, "at least 2"),
+    (["convert", "--n", "0", "--from", "code", "--to", "window", "(0)"], None, "at least 2"),
+    (["enumerate", "covers", "--n", "1", "--inside", "[1]"], None, "at least 2"),
+    (["render", "--kind", "weak", "--n", "0", "--tableau", "-"], None, "at least 2"),
+    (["kschur", "--n", "1", "--shape", "()"], None, "at least 2"),
+    (["cauchy", "--n", "0"], None, "at least 2"),
+    (["pieri", "--n", "1", "--w", "[1]", "--r", "1"], None, "at least 2"),
+    (["verify", "counts", "--n", "0"], None, "at least 2"),
+    (["verify", "pieri", "--n", "1"], None, "at least 2"),
+    (["verify", "counts", "--n", "two"], None, "invalid rank value"),
+    (["insert", "--n", "3", "--matrix", "[[1.5,0],[0,1]]"], None, "bad matrix entry 1.5"),
+    (["insert", "--reverse", "--n", "3"], [1, 2], "JSON object"),
+    (["insert", "--reverse", "--n", "3"], {"n": 3, "P": {}, "Q": {}}, "missing key(s): l"),
+])
+def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
+    if pair is not None:
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        argv = argv + ["--pair", str(path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
+def test_verify_symmetry_failure_exits_1(capsys, monkeypatch):
+    def lopsided(u, v):
+        raise NotSymmetric("planted")
+
+    monkeypatch.setattr(verify, "weak_schur", lopsided)
+    rc, out = run(capsys, "verify", "symmetry", "--n", "3", "--max", "1")
+    assert rc == 1
+    assert "FAIL weak Schur not symmetric at" in out

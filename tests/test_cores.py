@@ -10,6 +10,7 @@ from affine_insertion.cores import (
     NotACore,
     NotACover,
     NotBounded,
+    NotGrassmannianChain,
     addable_corners,
     act_on_partition,
     apply_simple,
@@ -34,9 +35,10 @@ from affine_insertion.cores import (
     spin_of_marked_cover,
     spin_tableau,
     strong_cover_cores,
+    strong_tableau_filling,
     weak_tableau_filling,
 )
-from affine_insertion.strong import marked_covers_above
+from affine_insertion.strong import StrongStrip, StrongTableau, marked_covers_above
 from affine_insertion.weak import WeakStrip, WeakTableau, weak_strip_between
 
 LAM = (10, 7, 4, 3, 2, 1, 1, 1)
@@ -236,6 +238,17 @@ def test_spin_tableau_fixture():
 
     p, _ = grassmannian_rsk(BoundedMatrix.from_rows([[0, 1, 0], [0, 0, 2], [1, 0, 1]]), 3)
     assert spin_tableau(p) == 2
+
+
+def test_chain_leaving_the_grassmannian_rejected():
+    # with l = 1 the first cover from the identity is s_1, not 0-Grassmannian
+    e = identity(3)
+    (cover,) = marked_covers_above(e, 1)
+    assert not cover.outside.is_grassmannian(0)
+    t = StrongTableau(e, (StrongStrip(e, (cover,)),))
+    for fn in (strong_tableau_filling, spin_tableau, render_strong_tableau):
+        with pytest.raises(NotGrassmannianChain):
+            fn(t)
 
 
 def test_weak_tableaux_are_semistandard_and_conversely():

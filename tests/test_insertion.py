@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,12 @@ def test_classical_rsk_roundtrip_random():
         assert classical_unrsk(p, q) == m
 
 
+def test_classical_unrsk_rejects_bad_recording_tableau():
+    # the recording tableau decreases along its row
+    with pytest.raises(ValueError, match="not a recording tableau"):
+        classical_unrsk([[1, 2]], [[2, 1]])
+
+
 def test_rsk_limit_spot():
     # at n large the affine insertion letters match classical RSK
     for rows in ([[2, 0], [1, 1]], [[0, 2, 1], [1, 0, 0], [0, 1, 1]]):
@@ -233,3 +241,15 @@ def test_weight_identity_failure_raises_invalid_pair(monkeypatch, tableau):
     monkeypatch.setattr(tableau, "weight", lambda self: ())
     with pytest.raises(InvalidPair, match="differs"):
         grassmannian_rsk(GROWTH_MATRIX, 3)
+
+
+def test_no_assert_statements_in_package():
+    # an assert vanishes under python -O; library checks must raise
+    src = Path(insertion.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

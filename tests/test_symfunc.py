@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from affine_insertion import symfunc
 from affine_insertion.affperm import (
     dynkin_flip,
     from_reduced_word,
@@ -10,8 +12,10 @@ from affine_insertion.affperm import (
 )
 from affine_insertion.cores import grassmannians_by_length, partitions
 from affine_insertion.symfunc import (
+    NotSymmetric,
     SingularSystem,
     SymPolynomial,
+    WeightPolynomial,
     cauchy_check,
     compositions,
     count_matrices,
@@ -298,3 +302,69 @@ def test_k_rectangle_product_identity():
 
     (z, c), = structure_constants(u, u, "strong", 3).items()
     assert c == 1 and bounded_of(core_of(z), 3) == (2, 2)
+
+
+def test_distinct_perms_are_the_rearrangements():
+    for d in range(8):
+        for lam in partitions(d):
+            perms = list(symfunc._distinct_perms(lam))
+            assert len(perms) == len(set(perms))
+            assert set(perms) == set(itertools.permutations(lam))
+
+
+def test_symmetry_report_matches_brute_force_on_planted_asymmetry():
+    # symmetric counts of degree 5, then three rearrangements and one
+    # partition disturbed
+    coeffs = {comp: 1 for comp in compositions(5)}
+    coeffs[(3, 2)] = 2
+    coeffs[(2, 1, 2)] = 4
+    coeffs[(1, 1, 3)] = 0
+    del coeffs[(1, 4)]
+    wf = WeightPolynomial(5, coeffs)
+    expected = {
+        (lam, comp, coeffs.get(lam, 0), coeffs.get(comp, 0))
+        for lam in partitions(5)
+        for comp in set(itertools.permutations(lam))
+        if coeffs.get(comp, 0) != coeffs.get(lam, 0)
+    }
+    report = wf.symmetry_report()
+    assert not report.symmetric
+    assert len(report.failures) == len(expected) == 4
+    assert set(report.failures) == expected
+
+
+def test_symmetry_gate_raises_not_symmetric(monkeypatch):
+    # a raise, unlike an assert, still fires under python -O
+    lopsided = WeightPolynomial(3, {(2, 1): 1})
+    assert not lopsided.symmetry_report().symmetric
+    monkeypatch.setattr(symfunc, "weak_weight_function", lambda u, v: lopsided)
+    monkeypatch.setattr(symfunc, "strong_weight_function", lambda u, v, l: lopsided)
+    with pytest.raises(NotSymmetric, match="weak Schur"):
+        weak_schur(c0m(3, 2), identity(3))
+    with pytest.raises(NotSymmetric, match="k-Schur"):
+        k_schur((2,), 3)
+    assert issubclass(NotSymmetric, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expand_in_basis(h_poly(1), "dual", 3),
+    lambda: structure_constants(identity(3), identity(3), "dual", 3),
+])
+def test_unknown_basis_rejected(call):
+    with pytest.raises(ValueError, match="unknown basis 'dual'"):
+        call()
+
+
+@pytest.mark.parametrize("enumerator, failing", [
+    ("weak_strips_from", {"strong"}),
+    ("dual_weak_strips_from", {"dual_strong"}),
+    ("strong_strips_from", {"weak", "dual_weak"}),
+])
+def test_pieri_dropped_strip_fails_only_its_rules(monkeypatch, enumerator, failing):
+    w = c0m(3, 2)
+    assert all(rep.ok for rep in pieri_checks(3, 0, w, 1).values())
+    full = getattr(symfunc, enumerator)
+    monkeypatch.setattr(symfunc, enumerator, lambda *args: full(*args)[:-1])
+    reports = pieri_checks(3, 0, w, 1)
+    assert list(reports) == ["strong", "dual_strong", "weak", "dual_weak"]
+    assert {name for name, rep in reports.items() if not rep.ok} == failing
