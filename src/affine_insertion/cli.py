@@ -27,7 +27,7 @@ from .cores import (
     render_strong_tableau,
     render_weak_tableau,
 )
-from .insertion import affine_insert, affine_uninsert, grassmannian_rsk
+from .insertion import affine_insert, affine_uninsert
 from .serialize import (
     audit_to_json,
     dumps,
@@ -174,31 +174,24 @@ def cmd_insert(args) -> int:
     if not args.matrix:
         raise ValueError("insert needs --matrix")
     m = matrix_from_text(args.matrix)
-    if args.u or args.v:
-        u = parse_window(args.u, n) if args.u else identity(n)
-        v = parse_window(args.v, n) if args.v else identity(n)
-        if u != v:
-            raise ValueError("with empty border tableaux, --u and --v must agree")
-        p, q, g = affine_insert(u, v, StrongTableau(u, ()), WeakTableau(u, ()), m, l, return_diagram=True)
-    else:
-        p, q, g = grassmannian_rsk(m, n, l, return_diagram=True)
+    u = parse_window(args.u, n) if args.u else identity(n)
+    v = parse_window(args.v, n) if args.v else identity(n)
+    if u != v:
+        raise ValueError("with empty border tableaux, --u and --v must agree")
+    p, q, g = affine_insert(u, v, StrongTableau(u, ()), WeakTableau(u, ()), m, l, return_diagram=True)
     doc = pair_to_json(p, q, n, l)
     doc["P_core"] = None
     try:
-        doc["render"] = {"P": render_strong_tableau(p), "Q": render_weak_tableau(q)}
+        doc["render"] = grids = {"P": render_strong_tableau(p), "Q": render_weak_tableau(q)}
         doc["P_core"] = format_partition(core_of(p.outside))
-    except ValueError:
-        pass  # non-Grassmannian chains have no core rendering
+    except ValueError as exc:  # non-Grassmannian chains have no core rendering
+        grids = dict.fromkeys("PQ", f"(no core rendering: {exc})")
     if args.audit:
         doc["audit"] = {f"{i},{j}": audit_to_json(steps) for (i, j), steps in sorted(g.audits.items())}
     if args.format == "json":
         print(dumps(doc))
     else:
-        print("P =")
-        print(render_strong_tableau(p))
-        print("Q =")
-        print(render_weak_tableau(q))
-        print("outside:", format_window(p.outside))
+        print("P =", grids["P"], "Q =", grids["Q"], "outside: " + format_window(p.outside), sep="\n")
     return 0
 
 

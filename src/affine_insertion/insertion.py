@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .affperm import AffinePermutation, identity
-from .localrule import CaseTag, FinalPair, InitialTriple, InvalidPair, phi_with_audit, psi_with_audit
+from .localrule import AuditStep, FinalPair, InitialTriple, InvalidPair, phi_with_audit, psi_with_audit
 from .strong import StrongStrip, StrongTableau
 from .weak import WeakStrip, WeakTableau
 
@@ -47,7 +47,7 @@ class BoundedMatrix:
     def __post_init__(self):
         cleaned = {}
         for (i, j), v in self.entries.items():
-            if not isinstance(v, int) or i < 1 or j < 1 or v < 0:
+            if type(v) is not int or i < 1 or j < 1 or v < 0:
                 raise ValueError(f"bad matrix entry {v!r} at ({i}, {j})")
             if v:
                 cleaned[(i, j)] = v
@@ -55,7 +55,10 @@ class BoundedMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> BoundedMatrix:
-        return cls({(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)})
+        try:
+            return cls({(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)})
+        except TypeError as exc:
+            raise ValueError(f"matrix rows must be lists of entries, got {rows!r}") from exc
 
     def to_rows(self) -> list[list[int]]:
         r, c = self.nrows, self.ncols
@@ -77,31 +80,30 @@ class BoundedMatrix:
         c = self.ncols if upto is None else upto
         return tuple(sum(v for (_, j), v in self.entries.items() if j == col) for col in range(1, c + 1))
 
-    def __eq__(self, other):
-        return isinstance(other, BoundedMatrix) and self.entries == other.entries
-
 
 @dataclass
 class GrowthDiagram:
-    """Computed grid: vertices, strong rows, weak columns, entries, audits."""
+    """Computed grid: strong rows, weak columns, entries, audits.
 
-    n: int
-    l: int
+    Every vertex but the northwest corner is the outside of the strip that
+    ends there, so the corner is the only vertex stored.
+    """
+
     nrows: int
     ncols: int
-    vertices: dict[tuple[int, int], AffinePermutation] = field(default_factory=dict)
+    corner: AffinePermutation
     hstrips: dict[tuple[int, int], StrongStrip] = field(default_factory=dict)
     vstrips: dict[tuple[int, int], WeakStrip] = field(default_factory=dict)
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    audits: dict[tuple[int, int], tuple[CaseTag, ...]] = field(default_factory=dict)
+    audits: dict[tuple[int, int], tuple[AuditStep, ...]] = field(default_factory=dict)
 
     def row_tableau(self, i: int) -> StrongTableau:
-        strips = tuple(self.hstrips[(i, j)] for j in range(1, self.ncols + 1))
-        return StrongTableau(self.vertices[(i, 0)], strips)
+        inside = self.vstrips[(i, 0)].outside if i else self.corner
+        return StrongTableau(inside, tuple(self.hstrips[(i, j)] for j in range(1, self.ncols + 1)))
 
     def column_tableau(self, j: int) -> WeakTableau:
-        strips = tuple(self.vstrips[(i, j)] for i in range(1, self.nrows + 1))
-        return WeakTableau(self.vertices[(0, j)], strips)
+        inside = self.hstrips[(0, j)].outside if j else self.corner
+        return WeakTableau(inside, tuple(self.vstrips[(i, j)] for i in range(1, self.nrows + 1)))
 
 
 def _padded(seq, count: int, fill=0) -> tuple:
@@ -138,17 +140,11 @@ def affine_insert(
     if any(a + b > n - 1 for a, b in zip(wt_u, rowsums)):
         raise WeightOverflow(f"wt(U) + rowsums = {tuple(a+b for a,b in zip(wt_u, rowsums))} exceeds n-1")
 
-    g = GrowthDiagram(n, l, nrows, ncols)
-    g.entries = dict(m.entries)
-    top = _padded(t_tab.strips, ncols, StrongStrip(u, ()))
-    left = _padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v))
-    g.vertices[(0, 0)] = t_tab.inside
-    for j, s in enumerate(top, 1):
+    g = GrowthDiagram(nrows, ncols, t_tab.inside, entries=dict(m.entries))
+    for j, s in enumerate(_padded(t_tab.strips, ncols, StrongStrip(u, ())), 1):
         g.hstrips[(0, j)] = s
-        g.vertices[(0, j)] = s.outside
-    for i, s in enumerate(left, 1):
+    for i, s in enumerate(_padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v)), 1):
         g.vstrips[(i, 0)] = s
-        g.vertices[(i, 0)] = s.outside
     for i in range(1, nrows + 1):
         for j in range(1, ncols + 1):
             west = g.vstrips[(i, j - 1)]
@@ -157,7 +153,6 @@ def affine_insert(
             out, tags = phi_with_audit(InitialTriple(west, north, e), l)
             g.vstrips[(i, j)] = out.weak
             g.hstrips[(i, j)] = out.strong
-            g.vertices[(i, j)] = out.weak.outside
             g.audits[(i, j)] = tags
     p_tab = g.row_tableau(nrows)
     q_tab = g.column_tableau(ncols)
@@ -182,22 +177,13 @@ def affine_uninsert(
     """Global reverse map: pair (P, Q) back to the triple (T, U, m)."""
     if p_tab.outside != q_tab.outside:
         raise InvalidPair("P and Q must share their outside element")
-    n = p_tab.outside.n
     nrows = len(q_tab.strips)
     ncols = len(p_tab.strips)
-    g = GrowthDiagram(n, l, nrows, ncols)
-    bottom = _padded(p_tab.strips, ncols, StrongStrip(p_tab.outside, ()))
-    right = _padded(q_tab.strips, nrows, WeakStrip(q_tab.outside, frozenset(), q_tab.outside))
-    g.vertices[(nrows, 0)] = p_tab.inside
-    for j, s in enumerate(bottom, 1):
+    g = GrowthDiagram(nrows, ncols, p_tab.inside)
+    for j, s in enumerate(p_tab.strips, 1):
         g.hstrips[(nrows, j)] = s
-        g.vertices[(nrows, j)] = s.outside
-    g.vertices[(0, ncols)] = q_tab.inside
-    for i, s in enumerate(right, 1):
+    for i, s in enumerate(q_tab.strips, 1):
         g.vstrips[(i, ncols)] = s
-        g.vertices[(i, ncols)] = s.outside
-    if nrows and g.vertices[(nrows, ncols)] != q_tab.outside:
-        raise InvalidPair("borders disagree at the southeast corner")
     for i in range(nrows, 0, -1):
         for j in range(ncols, 0, -1):
             south = g.hstrips[(i, j)]
@@ -208,22 +194,12 @@ def affine_uninsert(
                 raise InvalidPair(f"cell ({i},{j}) is not reversible: {exc}") from exc
             g.vstrips[(i, j - 1)] = triple.weak
             g.hstrips[(i - 1, j)] = triple.strong
-            g.vertices[(i - 1, j)] = triple.strong.outside
-            g.vertices[(i, j - 1)] = triple.weak.outside
-            g.vertices[(i - 1, j - 1)] = triple.weak.inside
             if triple.e:
                 g.entries[(i, j)] = triple.e
             g.audits[(i, j)] = tags
-    t_tab = (
-        StrongTableau(g.vertices[(0, 0)], tuple(g.hstrips[(0, j)] for j in range(1, ncols + 1)))
-        if ncols
-        else StrongTableau(q_tab.inside, ())
-    )
-    u_tab = (
-        WeakTableau(g.vertices[(0, 0)], tuple(g.vstrips[(i, 0)] for i in range(1, nrows + 1)))
-        if nrows
-        else WeakTableau(p_tab.inside, ())
-    )
+    if nrows:  # with no rows, the corner is inside(P)
+        g.corner = g.vstrips[(1, 0)].inside
+    t_tab, u_tab = g.row_tableau(0), g.column_tableau(0)
     m = BoundedMatrix(g.entries)
     if return_diagram:
         return t_tab, u_tab, m, g

@@ -5,9 +5,11 @@ Case X) and its inverse (Cases RA/RB/RC/RX).
 A forward run turns an initial triple (W, S, e) anchored at a common inside
 element into a final pair (W', S'); the reverse run recovers the triple.
 Every step rebuilds its output strips through the validating constructors,
-so a violated invariant raises instead of propagating a wrong answer.  Case
-tags are recorded in an audit trail for debugging and for the roundtrip
-tests' factorization into irreducible step sequences.
+so a violated invariant raises instead of propagating a wrong answer; the
+square identity x = v * t_ab of each new cover is MarkedStrongCover's own
+check, which raises NotACover.  Case tags are recorded in an audit trail
+for debugging and for the roundtrip tests' factorization into irreducible
+step sequences.
 """
 
 from __future__ import annotations
@@ -220,8 +222,6 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
         a_new = a_vee | {(p - 1) % n}
         a, b = u.position_of(q), u.position_of(p)
         x = cyclically_decreasing(n, a_new) * u
-        if right_mult_transposition(v, a, b) != x:
-            raise InvalidPair("Case B produced an inconsistent square")
         out = FinalPair(WeakStrip(u, a_new, x), s1.appended(MarkedStrongCover(v, a, b, x, l)))
         return out, CaseTag.B
 
@@ -234,8 +234,6 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     am, bm = y.position_of(q), y.position_of(p)
     v_prime = right_mult_transposition(y, am, bm)
     x = cyclically_decreasing(n, a_new) * u
-    if right_mult_transposition(v_prime, i, b1) != x:
-        raise InvalidPair("Case C produced an inconsistent square")
     spliced = StrongStrip(
         s1.inside,
         s1.covers[:-1]
@@ -257,8 +255,6 @@ def external_insert(pair: FinalPair, l: int) -> FinalPair:
     a_new = a_set | {q % n}
     a, b = v.position_of(q), v.position_of(p)
     x = cyclically_decreasing(n, a_new) * w
-    if right_mult_transposition(v, a, b) != x:
-        raise InvalidPair("Case X produced an inconsistent square")
     return FinalPair(WeakStrip(w, a_new, x), s1.appended(MarkedStrongCover(v, a, b, x, l)))
 
 

@@ -432,6 +432,8 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     dual weak:   e_r * Weak_w   = sum over strong strips from w^{-1},
                  outsides inverted (bounded quotient)
     """
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"the Pieri rules need 1 <= r <= n - 1 = {n - 1}, got r = {r}")
     e = identity(n)
     d = w.length + r
     strong_w = strong_weight_function(w, e, l)

@@ -244,21 +244,23 @@ def verify_symmetry(n: int, max_len: int, l: int = 0) -> VerifyResult:
             if not rep.symmetric:
                 res.fail(f"Grassmannian strong Schur not symmetric at {w}")
     res.lines.append(f"weak + Grassmannian strong symmetry asserted through length {max_len}")
-    sym = bad = 0
+    sym = bad = zero = 0
     levels = elements_by_length(n, max_len)
     for lvl in levels:
         for u in lvl:
             if u.length < 2:
                 continue
             for v in levels[u.length - 2]:
-                _, rep = strong_schur(u, v, l)
-                if rep.symmetric:
-                    sym += 1
-                else:
+                poly, rep = strong_schur(u, v, l)
+                if not rep.symmetric:
                     bad += 1
+                elif poly.coeffs:
+                    sym += 1
+                else:  # symmetric with no partition coefficient: the zero function
+                    zero += 1
     res.reports.append(
         f"REPORT conjectured symmetry of skew strong Schur functions: "
-        f"{sym} symmetric, {bad} not symmetric at n={n}, lengths<={max_len}"
+        f"{sym} symmetric, {bad} not symmetric, {zero} zero at n={n}, lengths<={max_len}"
     )
     return res
 

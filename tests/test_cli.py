@@ -149,6 +149,25 @@ def test_skew_insert_renders_inner_cells_as_dots(capsys):
     assert rc == 0 and json.loads(out)["P_core"] == "(4,2)"
 
 
+def test_text_insert_over_non_grassmannian_border(capsys):
+    argv = ["insert", "--n", "3", "--u", "[2,1,3]", "--v", "[2,1,3]", "--matrix", "[[1]]"]
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    unrendered = "(no core rendering: [2,1,3] is not 0-Grassmannian)"
+    assert out.splitlines() == ["P =", unrendered, "Q =", unrendered, "outside: [2,0,4]"]
+    rc, out = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["P_core"] is None and "render" not in json.loads(out)
+
+
+def test_verify_symmetry_report_counts_zero_functions_apart(capsys):
+    rc, out = run(capsys, "verify", "symmetry", "--n", "3", "--max", "4")
+    assert rc == 0
+    assert (
+        "REPORT conjectured symmetry of skew strong Schur functions: "
+        "38 symmetric, 0 not symmetric, 67 zero at n=3, lengths<=4"
+    ) in out.splitlines()
+
+
 def test_read_doc_closes_its_file(capsys, tmp_path):
     rc, out = run(capsys, "insert", "--n", "3", "--matrix", "[[0,1,0],[0,0,2],[1,0,1]]", "--format", "json")
     path = tmp_path / "pair.json"
@@ -181,6 +200,10 @@ def _exit_code(argv) -> int:
     (["insert", "--n", "3", "--matrix", "[[1.5,0],[0,1]]"], None, "bad matrix entry 1.5"),
     (["insert", "--reverse", "--n", "3"], [1, 2], "JSON object"),
     (["insert", "--reverse", "--n", "3"], {"n": 3, "P": {}, "Q": {}}, "missing key(s): l"),
+    (["insert", "--n", "3", "--matrix", "[[true]]"], None, "bad matrix entry True"),
+    (["insert", "--n", "3", "--matrix", "[1,2]"], None, "matrix rows must be lists"),
+    (["pieri", "--n", "3", "--w", "[1,2,3]", "--r", "3"], None, "1 <= r <= n - 1"),
+    (["pieri", "--n", "3", "--w", "[1,2,3]", "--r", "-1"], None, "1 <= r <= n - 1"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:

@@ -3,6 +3,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_insertion import cores, insertion, localrule, strong, symfunc, verify
 from affine_insertion.affperm import from_reduced_word, identity
@@ -253,3 +255,39 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_uninsert_with_one_empty_side():
+    p, q = grassmannian_rsk(GROWTH_MATRIX, 3)
+    for p_tab, q_tab, t_want, u_want in [
+        (p, WeakTableau(p.outside, ()), p, WeakTableau(p.inside, ())),
+        (StrongTableau(q.outside, ()), q, StrongTableau(q.inside, ()), q),
+    ]:
+        t, u, m, g = affine_uninsert(p_tab, q_tab, 0, return_diagram=True)
+        assert (t, u, m) == (t_want, u_want, BoundedMatrix({}))
+        assert (g.row_tableau(0), g.column_tableau(0)) == (t, u)
+
+
+@st.composite
+def _skew_insertion_inputs(draw):
+    n = draw(st.integers(3, 5))
+    l = draw(st.integers(-2, 2))
+    u = from_reduced_word(n, draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    ncols = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row, room = [], n - 1  # row sums stay below n
+        for _ in range(ncols):
+            row.append(draw(st.integers(0, room)))
+            room -= row[-1]
+        rows.append(row)
+    return n, l, u, BoundedMatrix.from_rows(rows)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_skew_insertion_inputs())
+def test_uninsert_inverts_insert_property(case):
+    n, l, u, m = case
+    t_tab, u_tab = StrongTableau(u, ()), WeakTableau(u, ())
+    p, q = affine_insert(u, u, t_tab, u_tab, m, l)
+    assert affine_uninsert(p, q, l) == (t_tab, u_tab, m)

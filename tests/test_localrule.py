@@ -1,6 +1,7 @@
 import pytest
 
-from affine_insertion.affperm import elements_by_length, from_window, identity
+from affine_insertion import localrule
+from affine_insertion.affperm import elements_by_length, from_window, identity, simple_reflection
 from affine_insertion.localrule import (
     CaseTag,
     EndpointMismatch,
@@ -245,3 +246,58 @@ def test_roundtrip_sampled_higher_rank_and_shifted_slot():
             out, _ = phi_with_audit(triple, l)
             back, _ = psi_with_audit(out, l)
             assert back == triple, (n, l, triple)
+
+
+# The Case B, C and X fixtures above, as thunks for the planted-error test,
+# each with the neighbour of its bumped integer p that still yields a genuine
+# weak strip and straddling cover, so that only the square identity fails.
+SQUARE_CASES = {
+    "B": (1, lambda: internal_insert(
+        FinalPair(
+            wstrip(6, [5, 0, 1, 9, -2, 8], {3, 4, 5}, [4, -1, 1, 12, -3, 8]),
+            empty_strip(6, [4, -1, 1, 12, -3, 8]),
+        ),
+        cover(6, [5, 0, 1, 9, -2, 8], -2, 1, [3, 0, 1, 11, -2, 8]),
+        0,
+    )),
+    "C": (1, lambda: internal_insert(
+        FinalPair(
+            wstrip(4, [1, 7, -2, 4], {3}, [1, 8, -2, 3]),
+            StrongStrip(W(4, [4, 5, -2, 3]), (cover(4, [4, 5, -2, 3], -2, 1, [1, 8, -2, 3]),)),
+        ),
+        cover(4, [1, 7, -2, 4], -2, 4, [1, 8, -2, 3]),
+        0,
+    )),
+    "X": (-1, lambda: external_insert(
+        FinalPair(
+            wstrip(5, [2, -4, 5, 8, 4], {3, 5}, [2, -5, 6, 9, 3]), empty_strip(5, [2, -5, 6, 9, 3])
+        ),
+        0,
+    )),
+}
+
+
+def _wrong_bump(real, shift):
+    # p + shift instead of p: the new cover gets the wrong partner
+    def planted(n, a_set, x, pred, step=1):
+        return real(n, a_set, x, pred, step) + shift
+
+    return planted
+
+
+def _wrong_cycle(real, _shift):
+    # c_A * s_0 instead of c_A: the new corner x is wrong
+    def planted(n, a_set):
+        return real(n, a_set) * simple_reflection(n, 0)
+
+    return planted
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+@pytest.mark.parametrize("helper, plant", [("step_to", _wrong_bump), ("cyclically_decreasing", _wrong_cycle)])
+def test_planted_wrong_square_raises(monkeypatch, case, helper, plant):
+    shift, step = SQUARE_CASES[case]
+    step()  # the unplanted step succeeds
+    monkeypatch.setattr(localrule, helper, plant(getattr(localrule, helper), shift))
+    with pytest.raises(ValueError):
+        step()
