@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", dest="max_m", type=int, default=4, help="counts bound")
     p.add_argument("--dx", type=int, default=3)
     p.add_argument("--vy", type=int, default=2)
-    p.add_argument("--rmax", type=int, default=2)
+    p.add_argument("--rmax", type=int, help="largest r (pieri), default min(2, n - 1)")
     p.add_argument("--entries", type=int, default=1, help="rsk-limit entry bound")
     p.add_argument("--dim", type=int, default=2, help="matrix dimension")
     p.add_argument("--total", type=int, default=3, help="global-roundtrip entry sum bound")
@@ -162,7 +162,9 @@ def cmd_insert(args) -> int:
     if args.reverse:
         if not args.pair:
             raise ValueError("--reverse needs --pair")
-        p, q, n, l = pair_from_json(_read_doc(args.pair))
+        p, q, pair_n, pair_l = pair_from_json(_read_doc(args.pair))
+        if (pair_n, pair_l) != (n, l):
+            raise ValueError(f"the pair is at n = {pair_n}, l = {pair_l}; --n and --l give n = {n}, l = {l}")
         t, u, m = affine_uninsert(p, q, l)
         doc = {
             "matrix": m.to_rows(),

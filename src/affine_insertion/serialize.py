@@ -29,6 +29,20 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def _fields(d, what: str, **kinds) -> list:
+    """The values of the named keys of the JSON object d, in order; each must
+    have exactly its Python type, so a JSON boolean is not an integer."""
+    if type(d) is not dict:
+        raise ValueError(f"a {what} is a JSON object, not {type(d).__name__}")
+    missing = [key for key in kinds if key not in d]
+    if missing:
+        raise ValueError(f"{what} is missing key(s): {', '.join(missing)}")
+    for key, kind in kinds.items():
+        if type(d[key]) is not kind:
+            raise ValueError(f"{what} {key!r} must be {kind.__name__}, not {d[key]!r}")
+    return [d[key] for key in kinds]
+
+
 def weak_strip_to_json(s: WeakStrip) -> dict:
     return {
         "inside": format_window(s.inside),
@@ -38,9 +52,10 @@ def weak_strip_to_json(s: WeakStrip) -> dict:
 
 
 def weak_strip_from_json(d: dict, n: int) -> WeakStrip:
-    return WeakStrip(
-        parse_window(d["inside"], n), frozenset(d["residues"]), parse_window(d["outside"], n)
-    )
+    inside, residues, outside = _fields(d, "weak strip", inside=str, residues=list, outside=str)
+    if any(type(a) is not int for a in residues):
+        raise ValueError(f"weak strip residues must be integers, not {residues!r}")
+    return WeakStrip(parse_window(inside, n), frozenset(residues), parse_window(outside, n))
 
 
 def strong_strip_to_json(s: StrongStrip) -> dict:
@@ -54,14 +69,14 @@ def strong_strip_to_json(s: StrongStrip) -> dict:
 
 
 def strong_strip_from_json(d: dict, n: int, l: int) -> StrongStrip:
-    inside = parse_window(d["inside"], n)
+    inside, cover_docs = _fields(d, "strong strip", inside=str, covers=list)
+    cur = start = parse_window(inside, n)
     covers = []
-    cur = inside
-    for cd in d["covers"]:
-        outside = parse_window(cd["outside"], n)
-        covers.append(MarkedStrongCover(cur, cd["i"], cd["j"], outside, l))
-        cur = outside
-    return StrongStrip(inside, tuple(covers))
+    for cd in cover_docs:
+        i, j, outside = _fields(cd, "marked cover", i=int, j=int, outside=str)
+        covers.append(MarkedStrongCover(cur, i, j, parse_window(outside, n), l))
+        cur = covers[-1].outside
+    return StrongStrip(start, tuple(covers))
 
 
 def weak_tableau_to_json(t: WeakTableau) -> dict:
@@ -72,8 +87,8 @@ def weak_tableau_to_json(t: WeakTableau) -> dict:
 
 
 def weak_tableau_from_json(d: dict, n: int) -> WeakTableau:
-    inside = parse_window(d["inside"], n)
-    return WeakTableau(inside, tuple(weak_strip_from_json(sd, n) for sd in d["strips"]))
+    inside, strips = _fields(d, "weak tableau", inside=str, strips=list)
+    return WeakTableau(parse_window(inside, n), tuple(weak_strip_from_json(sd, n) for sd in strips))
 
 
 def strong_tableau_to_json(t: StrongTableau) -> dict:
@@ -84,8 +99,8 @@ def strong_tableau_to_json(t: StrongTableau) -> dict:
 
 
 def strong_tableau_from_json(d: dict, n: int, l: int) -> StrongTableau:
-    inside = parse_window(d["inside"], n)
-    return StrongTableau(inside, tuple(strong_strip_from_json(sd, n, l) for sd in d["strips"]))
+    inside, strips = _fields(d, "strong tableau", inside=str, strips=list)
+    return StrongTableau(parse_window(inside, n), tuple(strong_strip_from_json(sd, n, l) for sd in strips))
 
 
 def pair_to_json(p: StrongTableau, q: WeakTableau, n: int, l: int) -> dict:
@@ -99,18 +114,8 @@ def pair_to_json(p: StrongTableau, q: WeakTableau, n: int, l: int) -> dict:
 
 
 def pair_from_json(d: dict) -> tuple[StrongTableau, WeakTableau, int, int]:
-    if not isinstance(d, dict):
-        raise ValueError(f"a pair document is a JSON object, not {type(d).__name__}")
-    missing = [key for key in ("n", "l", "P", "Q") if key not in d]
-    if missing:
-        raise ValueError(f"pair document is missing key(s): {', '.join(missing)}")
-    n, l = d["n"], d["l"]
-    return (
-        strong_tableau_from_json(d["P"], n, l),
-        weak_tableau_from_json(d["Q"], n),
-        n,
-        l,
-    )
+    n, l, p, q = _fields(d, "pair document", n=int, l=int, P=dict, Q=dict)
+    return strong_tableau_from_json(p, n, l), weak_tableau_from_json(q, n), n, l
 
 
 def audit_to_json(steps) -> list[dict]:

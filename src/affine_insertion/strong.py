@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .affperm import AffinePermutation, canonical_reflection, right_mult_transposition
+from .chains import StripChain, count_chains, walk_chains
 
 __all__ = [
     "NotACover",
@@ -248,29 +249,11 @@ def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[Strong
 
 
 @dataclass(frozen=True)
-class StrongTableau:
+class StrongTableau(StripChain):
     """Chain of strong strips; stored trimmed of trailing empty strips."""
 
-    inside: AffinePermutation
-    strips: tuple[StrongStrip, ...]
-
-    def __post_init__(self):
-        strips = tuple(self.strips)
-        cur = self.inside
-        for s in strips:
-            if s.inside != cur:
-                raise InvalidStrongStrip("strong tableau strips do not chain")
-            cur = s.outside
-        while strips and strips[-1].size == 0:
-            strips = strips[:-1]
-        object.__setattr__(self, "strips", strips)
-
-    @property
-    def outside(self) -> AffinePermutation:
-        return self.strips[-1].outside if self.strips else self.inside
-
-    def weight(self) -> tuple[int, ...]:
-        return tuple(s.size for s in self.strips)
+    order = "strong"
+    invalid = InvalidStrongStrip
 
     def covers(self) -> list[MarkedStrongCover]:
         return [c for s in self.strips for c in s.covers]
@@ -278,40 +261,12 @@ class StrongTableau:
 
 def strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, l: int) -> list[StrongTableau]:
     """All strong tableaux from inside to outside with positive strip sizes."""
-    out = []
-
-    def grow(chain: tuple[StrongStrip, ...], cur: AffinePermutation):
-        if cur == outside:
-            out.append(StrongTableau(inside, chain))
-        budget = outside.length - cur.length
-        for r in range(1, budget + 1):
-            for strip in strong_strips_from(cur, r, l):
-                grow(chain + (strip,), strip.outside)
-
-    if outside.length >= inside.length:
-        grow((), inside)
-    return out
-
-
-@cache
-def _count_strong(inside: AffinePermutation, outside: AffinePermutation, comp: tuple[int, ...], l: int) -> int:
-    if not comp:
-        return 1 if inside == outside else 0
-    r, rest = comp[0], comp[1:]
-    total = 0
-    for strip in strong_strips_from(inside, r, l):
-        total += _count_strong(strip.outside, outside, rest, l)
-    return total
+    return list(walk_chains(StrongTableau, strong_strips_from, (l,), inside, outside))
 
 
 def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight, l: int) -> int:
     """Number of strong tableaux with the given weight composition."""
-    comp = tuple(r for r in weight if r != 0)
-    if any(r < 0 for r in comp):
-        return 0
-    if sum(comp) != outside.length - inside.length:
-        return 0
-    return _count_strong(inside, outside, comp, l)
+    return count_chains(strong_strips_from, (l,), inside, outside, weight)
 
 
 @cache

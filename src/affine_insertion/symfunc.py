@@ -18,8 +18,9 @@ from fractions import Fraction
 from functools import cache
 
 from .affperm import AffinePermutation, identity
-from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
-from .strong import count_strong_tableaux, strong_strips_from
+from .chains import walk_chains
+from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_tableau
+from .strong import StrongTableau, count_strong_tableaux, strong_strips_from
 from .weak import (
     count_weak_tableaux,
     dual_weak_strips_from,
@@ -304,25 +305,13 @@ class SpinPolynomial:
 
 def k_schur_spin(b, n: int) -> SpinPolynomial:
     """Spin-graded monomial expansion: strong tableaux graded by spin."""
-    from .cores import spin_tableau
-    from .strong import StrongTableau
-
-    u = _grassmannian_from_bounded(b, n)
-    e = identity(n)
+    u, e = _grassmannian_from_bounded(b, n), identity(n)
     d = u.length
     out: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def grow(cur, strips, rest, lam):
-        if not rest:
-            if cur == u:
-                key = (lam, spin_tableau(StrongTableau(e, tuple(strips))))
-                out[key] = out.get(key, 0) + 1
-            return
-        for strip in strong_strips_from(cur, rest[0], 0):
-            grow(strip.outside, strips + [strip], rest[1:], lam)
-
     for lam in partitions(d):
-        grow(e, [], lam, lam)
+        for t in walk_chains(StrongTableau, strong_strips_from, (0,), e, u, weight=lam):
+            key = (lam, spin_tableau(t))
+            out[key] = out.get(key, 0) + 1
     return SpinPolynomial(d, out)
 
 

@@ -183,14 +183,16 @@ def verify_cauchy(n: int, dx: int, vy: int, l: int = 0, pairs=()) -> VerifyResul
     return res
 
 
-def verify_pieri(n: int, l: int, max_len: int, rs=(1, 2)) -> VerifyResult:
+def verify_pieri(n: int, l: int, max_len: int, rmax: int | None = None) -> VerifyResult:
+    """The Pieri rules at each Grassmannian w of length <= max_len, r = 1..rmax (default min(2, n - 1))."""
+    rmax = min(2, n - 1) if rmax is None else rmax
+    if not 1 <= rmax <= n - 1:
+        raise ValueError(f"the Pieri rules need 1 <= r <= n - 1 = {n - 1}, got rmax = {rmax}")
     res = VerifyResult(True)
     checked = 0
     for d in range(max_len + 1):
         for w in grassmannians_by_length(n, d):
-            for r in rs:
-                if not 1 <= r <= n - 1:
-                    continue
+            for r in range(1, rmax + 1):
                 for name, rep in pieri_checks(n, l, w, r).items():
                     if not rep.ok:
                         res.fail(f"{name} Pieri broke at w={w}, r={r}: {rep.mismatches[:3]}")
@@ -270,7 +272,7 @@ SUITES = {
         args.n, args.max, l=args.l, samples=args.samples, seed=args.seed
     ),
     "cauchy": lambda args: verify_cauchy(args.n, args.dx, args.vy, l=args.l),
-    "pieri": lambda args: verify_pieri(args.n, args.l, args.max, rs=tuple(range(1, args.rmax + 1))),
+    "pieri": lambda args: verify_pieri(args.n, args.l, args.max, args.rmax),
     "counts": lambda args: verify_counts(args.n, args.max_m, l=args.l),
     "rsk-limit": lambda args: verify_rsk_limit(args.n, args.entries, args.dim),
     "symmetry": lambda args: verify_symmetry(args.n, args.max, l=args.l),

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .affperm import AffinePermutation, simple_reflection
+from .chains import StripChain, count_chains, walk_chains
 
 __all__ = [
     "FullSet",
@@ -264,29 +265,11 @@ def dual_weak_strips_from(w: AffinePermutation, r: int) -> list[DualWeakStrip]:
 
 
 @dataclass(frozen=True)
-class WeakTableau:
+class WeakTableau(StripChain):
     """Chain of weak strips; stored trimmed of trailing empty strips."""
 
-    inside: AffinePermutation
-    strips: tuple[WeakStrip, ...]
-
-    def __post_init__(self):
-        strips = tuple(self.strips)
-        cur = self.inside
-        for s in strips:
-            if s.inside != cur:
-                raise InvalidStrip("weak tableau strips do not chain")
-            cur = s.outside
-        while strips and strips[-1].size == 0:
-            strips = strips[:-1]
-        object.__setattr__(self, "strips", strips)
-
-    @property
-    def outside(self) -> AffinePermutation:
-        return self.strips[-1].outside if self.strips else self.inside
-
-    def weight(self) -> tuple[int, ...]:
-        return tuple(s.size for s in self.strips)
+    order = "weak"
+    invalid = InvalidStrip
 
 
 def weak_tableaux(inside: AffinePermutation, outside: AffinePermutation) -> list[WeakTableau]:
@@ -295,30 +278,7 @@ def weak_tableaux(inside: AffinePermutation, outside: AffinePermutation) -> list
     Weight compositions containing zeros correspond bijectively to these by
     deleting trivial strips, so enumeration is restricted to positive sizes.
     """
-    out = []
-
-    def grow(chain: tuple[WeakStrip, ...], cur: AffinePermutation):
-        if cur == outside:
-            out.append(WeakTableau(inside, chain))
-        budget = outside.length - cur.length
-        for r in range(1, min(cur.n - 1, budget) + 1):
-            for strip in weak_strips_from(cur, r):
-                grow(chain + (strip,), strip.outside)
-
-    if outside.length >= inside.length:
-        grow((), inside)
-    return out
-
-
-@cache
-def _count_weak(inside: AffinePermutation, outside: AffinePermutation, comp: tuple[int, ...]) -> int:
-    if not comp:
-        return 1 if inside == outside else 0
-    r, rest = comp[0], comp[1:]
-    total = 0
-    for strip in weak_strips_from(inside, r):
-        total += _count_weak(strip.outside, outside, rest)
-    return total
+    return list(walk_chains(WeakTableau, weak_strips_from, (), inside, outside, max_size=inside.n - 1))
 
 
 def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight) -> int:
@@ -326,12 +286,7 @@ def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, w
 
     Zero parts are allowed (they force trivial strips) and are dropped.
     """
-    comp = tuple(r for r in weight if r != 0)
-    if any(r < 0 or r >= inside.n for r in comp):
-        return 0
-    if sum(comp) != outside.length - inside.length:
-        return 0
-    return _count_weak(inside, outside, comp)
+    return count_chains(weak_strips_from, (), inside, outside, weight, max_size=inside.n - 1)
 
 
 @cache

@@ -186,6 +186,9 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+EMPTY_PAIR = {"n": 3, "l": 0, "P": {"inside": "[1,2,3]", "strips": []}, "Q": {"inside": "[1,2,3]", "strips": []}}
+
+
 @pytest.mark.parametrize("argv, pair, message", [
     (["insert", "--n", "1", "--matrix", "[[0]]"], None, "at least 2"),
     (["convert", "--n", "0", "--from", "code", "--to", "window", "(0)"], None, "at least 2"),
@@ -204,6 +207,12 @@ def _exit_code(argv) -> int:
     (["insert", "--n", "3", "--matrix", "[1,2]"], None, "matrix rows must be lists"),
     (["pieri", "--n", "3", "--w", "[1,2,3]", "--r", "3"], None, "1 <= r <= n - 1"),
     (["pieri", "--n", "3", "--w", "[1,2,3]", "--r", "-1"], None, "1 <= r <= n - 1"),
+    (["insert", "--reverse", "--n", "7"], EMPTY_PAIR, "the pair is at n = 3, l = 0; --n and --l give n = 7, l = 0"),
+    (["insert", "--reverse", "--n", "3", "--l", "2"], EMPTY_PAIR, "--n and --l give n = 3, l = 2"),
+    (["insert", "--reverse", "--n", "3"], {**EMPTY_PAIR, "n": "3"}, "pair document 'n' must be int, not '3'"),
+    (["insert", "--reverse", "--n", "3"], {**EMPTY_PAIR, "l": 0.5}, "pair document 'l' must be int"),
+    (["verify", "pieri", "--n", "3", "--max", "2", "--rmax", "5"], None, "1 <= r <= n - 1"),
+    (["verify", "pieri", "--n", "3", "--max", "2", "--rmax", "0"], None, "1 <= r <= n - 1"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:
@@ -224,3 +233,43 @@ def test_verify_symmetry_failure_exits_1(capsys, monkeypatch):
     rc, out = run(capsys, "verify", "symmetry", "--n", "3", "--max", "1")
     assert rc == 1
     assert "FAIL weak Schur not symmetric at" in out
+
+
+WEAK_STRIP = {"inside": "[1,2,3]", "residues": [0], "outside": "[0,2,4]"}
+STRONG_STRIP = {"inside": "[1,2,3]", "covers": [{"i": 0, "j": 1, "mark": 1, "outside": "[0,2,4]"}]}
+
+
+@pytest.mark.parametrize("kind, doc, message", [
+    ("weak", {"inside": "[1,2,3]", "strips": 5}, "weak tableau 'strips' must be list, not 5"),
+    ("weak", [1, 2], "a weak tableau is a JSON object, not list"),
+    ("weak", {"strips": []}, "weak tableau is missing key(s): inside"),
+    ("weak", {"inside": 123, "strips": []}, "weak tableau 'inside' must be str"),
+    ("weak", {"inside": "[1,2,3]", "strips": [{**WEAK_STRIP, "residues": ["0"]}]}, "residues must be integers"),
+    ("weak", {"inside": "[1,2,3]", "strips": [{**WEAK_STRIP, "residues": 0}]}, "'residues' must be list"),
+    ("strong", {"inside": "[1,2,3]", "strips": [[]]}, "a strong strip is a JSON object, not list"),
+    ("strong", {"inside": "[1,2,3]", "strips": [{**STRONG_STRIP, "covers": [{"i": "a", "j": 1, "outside": "[0,2,4]"}]}]},
+     "marked cover 'i' must be int, not 'a'"),
+    ("strong", {"inside": "[1,2,3]", "strips": [{**STRONG_STRIP, "covers": [{"i": 0, "j": True, "outside": "[0,2,4]"}]}]},
+     "marked cover 'j' must be int, not True"),
+])
+def test_malformed_tableau_document_exits_2(capsys, tmp_path, kind, doc, message):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(doc))
+    assert main(["render", "--kind", kind, "--n", "3", "--tableau", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_well_formed_strip_documents_render(capsys, tmp_path):
+    for kind, strip in [("weak", WEAK_STRIP), ("strong", STRONG_STRIP)]:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"inside": "[1,2,3]", "strips": [strip]}))
+        rc, out = run(capsys, "render", "--kind", kind, "--n", "3", "--tableau", str(path))
+        assert rc == 0 and out.strip()
+
+
+def test_verify_pieri_default_rmax_fits_the_rank(capsys):
+    rc, out = run(capsys, "verify", "pieri", "--n", "2", "--max", "2")
+    assert rc == 0 and "pieri: 12 (w, r, variant) checks, n=2" in out
+    rc, out = run(capsys, "verify", "pieri", "--n", "3", "--max", "2")
+    assert rc == 0 and "pieri: 32 (w, r, variant) checks, n=3" in out
