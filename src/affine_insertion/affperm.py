@@ -57,21 +57,15 @@ _length_cache: dict[tuple[int, ...], int] = {}
 
 
 class AffinePermutation:
-    """Element of the rank-n affine symmetric group, stored by its window."""
+    """Element of the rank-n affine symmetric group, stored by its window.
+
+    The constructor trusts its window; from_window validates one.
+    """
 
     __slots__ = ("n", "window", "_hash", "_inv_idx")
 
-    def __init__(self, n: int, window, validate: bool = True):
+    def __init__(self, n: int, window):
         window = tuple(window)
-        if validate:
-            if n < 2:
-                raise ValueError(f"rank must be at least 2, got {n}")
-            if len(window) != n:
-                raise ValueError(f"window {window!r} has length {len(window)}, expected {n}")
-            if len({v % n for v in window}) != n:
-                raise ResidueCollision(f"window {window!r} repeats a residue mod {n}")
-            if sum(window) != n * (n + 1) // 2:
-                raise SumMismatch(f"window {window!r} has sum {sum(window)}, expected {n*(n+1)//2}")
         self.n = n
         self.window = window
         self._hash = hash(window)
@@ -92,15 +86,13 @@ class AffinePermutation:
         return j + 1 + (value - self.window[j]) // self.n * self.n
 
     def inverse(self) -> AffinePermutation:
-        return AffinePermutation(
-            self.n, tuple(self.position_of(v) for v in range(1, self.n + 1)), validate=False
-        )
+        return AffinePermutation(self.n, tuple(self.position_of(v) for v in range(1, self.n + 1)))
 
     def __mul__(self, other: AffinePermutation) -> AffinePermutation:
         """Function composition: (self * other)(i) = self(other(i))."""
         if self.n != other.n:
             raise RankMismatch(f"rank {self.n} vs {other.n}")
-        return AffinePermutation(self.n, tuple(self(v) for v in other.window), validate=False)
+        return AffinePermutation(self.n, tuple(self(v) for v in other.window))
 
     def __eq__(self, other) -> bool:
         return (
@@ -155,7 +147,7 @@ class AffinePermutation:
 
 
 def identity(n: int) -> AffinePermutation:
-    return AffinePermutation(n, range(1, n + 1), validate=False)
+    return AffinePermutation(n, range(1, n + 1))
 
 
 def canonical_reflection(n: int, r: int, s: int) -> tuple[int, int]:
@@ -188,7 +180,7 @@ def transposition(n: int, r: int, s: int) -> AffinePermutation:
             window.append(r + (x - s))
         else:
             window.append(x)
-    return AffinePermutation(n, window, validate=False)
+    return AffinePermutation(n, window)
 
 
 def simple_reflection(n: int, i: int) -> AffinePermutation:
@@ -206,7 +198,7 @@ def right_mult_transposition(w: AffinePermutation, i: int, j: int) -> AffinePerm
             window.append(w(i + (x - j)))
         else:
             window.append(w(x))
-    return AffinePermutation(n, window, validate=False)
+    return AffinePermutation(n, window)
 
 
 def from_window(n: int, values) -> AffinePermutation:
@@ -215,7 +207,16 @@ def from_window(n: int, values) -> AffinePermutation:
     >>> from_window(3, [-3, 2, 7]) == transposition(3, 0, 4)
     True
     """
-    return AffinePermutation(n, values, validate=True)
+    window = tuple(values)
+    if n < 2:
+        raise ValueError(f"rank must be at least 2, got {n}")
+    if len(window) != n:
+        raise ValueError(f"window {window!r} has length {len(window)}, expected {n}")
+    if len({v % n for v in window}) != n:
+        raise ResidueCollision(f"window {window!r} repeats a residue mod {n}")
+    if sum(window) != n * (n + 1) // 2:
+        raise SumMismatch(f"window {window!r} has sum {sum(window)}, expected {n*(n+1)//2}")
+    return AffinePermutation(n, window)
 
 
 def inversions(w: AffinePermutation) -> list[tuple[int, int]]:
@@ -283,7 +284,7 @@ def dynkin_flip(w: AffinePermutation, l: int = 0) -> AffinePermutation:
 
 def rotate(w: AffinePermutation) -> AffinePermutation:
     """The automorphism sending s_i to s_{i+1}; on windows, w(x-1) + 1."""
-    return AffinePermutation(w.n, tuple(w(x - 1) + 1 for x in range(1, w.n + 1)), validate=False)
+    return AffinePermutation(w.n, tuple(w(x - 1) + 1 for x in range(1, w.n + 1)))
 
 
 def translation(beta) -> AffinePermutation:
@@ -296,7 +297,7 @@ def translation(beta) -> AffinePermutation:
     n = len(beta)
     if sum(beta) != 0:
         raise SumMismatch(f"coroot vector {beta!r} does not sum to 0")
-    return AffinePermutation(n, tuple(i + n * b for i, b in enumerate(beta, start=1)), validate=False)
+    return AffinePermutation(n, tuple(i + n * b for i, b in enumerate(beta, start=1)))
 
 
 def coroot_decompose(w: AffinePermutation) -> tuple[AffinePermutation, tuple[int, ...]]:
@@ -312,7 +313,7 @@ def coroot_decompose(w: AffinePermutation) -> tuple[AffinePermutation, tuple[int
     n = w.n
     u = tuple((v - 1) % n + 1 for v in w.window)
     beta = tuple((v - ui) // n for v, ui in zip(w.window, u))
-    return AffinePermutation(n, u, validate=False), beta
+    return AffinePermutation(n, u), beta
 
 
 def elements_by_length(n: int, max_length: int) -> list[list[AffinePermutation]]:

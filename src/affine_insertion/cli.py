@@ -67,6 +67,14 @@ def rank(text: str) -> int:
     return n
 
 
+def nonnegative(text: str) -> int:
+    """argparse type of a count or bound flag: an integer >= 0."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {k}")
+    return k
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="affins", description=__doc__)
     sub = parser.add_subparsers(required=True)
@@ -96,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--inside", required=True, help="window")
     p.add_argument("--outside", help="window (tableaux kinds)")
-    p.add_argument("--size", type=int, default=1)
+    p.add_argument("--size", type=nonnegative, default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("render", help="ASCII-render a tableau JSON document")
@@ -115,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cauchy", help="check the affine Cauchy identity")
     p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
-    p.add_argument("--dx", type=int, default=3)
-    p.add_argument("--vy", type=int, default=2)
+    p.add_argument("--dx", type=nonnegative, default=3)
+    p.add_argument("--vy", type=nonnegative, default=2)
     p.add_argument("--u", help="window for the generalized identity")
     p.add_argument("--v", help="window for the generalized identity")
     p.set_defaults(func=cmd_cauchy)
@@ -135,15 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
-    p.add_argument("--max", type=int, default=3, help="length bound (roundtrip, pieri, symmetry)")
-    p.add_argument("--max-m", dest="max_m", type=int, default=4, help="counts bound")
-    p.add_argument("--dx", type=int, default=3)
-    p.add_argument("--vy", type=int, default=2)
+    p.add_argument("--max", type=nonnegative, default=3, help="length bound (roundtrip, pieri, symmetry)")
+    p.add_argument("--max-m", dest="max_m", type=nonnegative, default=4, help="counts bound")
+    p.add_argument("--dx", type=nonnegative, default=3)
+    p.add_argument("--vy", type=nonnegative, default=2)
     p.add_argument("--rmax", type=int, help="largest r (pieri), default min(2, n - 1)")
-    p.add_argument("--entries", type=int, default=1, help="rsk-limit entry bound")
-    p.add_argument("--dim", type=int, default=2, help="matrix dimension")
-    p.add_argument("--total", type=int, default=3, help="global-roundtrip entry sum bound")
-    p.add_argument("--samples", type=int, default=0, help="extra seeded random cases")
+    p.add_argument("--entries", type=nonnegative, default=1, help="rsk-limit entry bound")
+    p.add_argument("--dim", type=nonnegative, default=2, help="matrix dimension")
+    p.add_argument("--total", type=nonnegative, default=3, help="global-roundtrip entry sum bound")
+    p.add_argument("--samples", type=nonnegative, default=0, help="extra seeded random cases")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

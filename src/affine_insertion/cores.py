@@ -230,7 +230,7 @@ def grassmannian_of(lam, n: int) -> AffinePermutation:
     positions, moved up one period and sorted increasingly.
     """
     maxima = _class_maxima(lam, n).values()
-    return AffinePermutation(n, sorted(v + n for v in maxima), validate=False)
+    return AffinePermutation(n, sorted(v + n for v in maxima))
 
 
 def bounded_of(lam, n: int) -> tuple[int, ...]:

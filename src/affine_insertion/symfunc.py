@@ -162,27 +162,16 @@ class SymPolynomial:
             out[lam] = out.get(lam, 0) + c
         return SymPolynomial(max(self.degree, other.degree), out)
 
-    def __mul__(self, other: SymPolynomial) -> SymPolynomial:
-        """Product via expansion in finitely many variables.
+    def __getitem__(self, comp) -> int:
+        """[x^comp]: the coefficient of the partition that sorts comp."""
+        return self.coeffs.get(tuple(sorted((c for c in comp if c), reverse=True)), 0)
 
-        degree-many variables are enough to separate all monomial symmetric
-        functions up to the product degree.
-        """
+    def __mul__(self, other: SymPolynomial) -> SymPolynomial:
+        """Product read off partition by partition: [m_lam] = [x^lam]."""
         deg = self.degree + other.degree
-        nvars = max(deg, 1)
-        left = _expand_in_vars(self, nvars)
-        right = _expand_in_vars(other, nvars)
-        acc: dict[tuple[int, ...], int] = {}
-        for ea, ca in left.items():
-            for eb, cb in right.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                acc[key] = acc.get(key, 0) + ca * cb
-        out: dict[tuple[int, ...], int] = {}
-        for expo, c in acc.items():
-            # each m_lam is read off its one weakly decreasing exponent
-            if list(expo) == sorted(expo, reverse=True):
-                out[tuple(x for x in expo if x)] = c
-        return SymPolynomial(deg, out)
+        return SymPolynomial(
+            deg, {lam: _product_coefficient(self, other, lam) for d in range(deg + 1) for lam in partitions(d)}
+        )
 
     def truncate_bounded(self, n: int) -> SymPolynomial:
         """Image in the quotient dropping m_lam with lam_1 >= n."""
@@ -208,14 +197,20 @@ def _distinct_perms(items: tuple[int, ...]):
             yield (x,) + rest
 
 
-def _expand_in_vars(p: SymPolynomial, nvars: int) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    for lam, c in p.coeffs.items():
-        if len(lam) > nvars:
-            continue
-        for expo in _distinct_perms(lam + (0,) * (nvars - len(lam))):
-            out[expo] = out.get(expo, 0) + c
-    return out
+def _product_coefficient(g: SymPolynomial, f, alpha: tuple[int, ...]) -> int:
+    """[x^alpha] (g * f), with f read by composition.
+
+    The exponent vectors gamma <= alpha of g are enumerated one total degree
+    of g at a time, each part capped by g's largest part (1 for e_r).
+    """
+    top = max((lam[0] for lam in g.coeffs if lam), default=0)
+    caps = tuple(min(a, top) for a in alpha)
+    total = 0
+    for d in {sum(lam) for lam in g.coeffs}:
+        for gamma in _bounded_vectors(caps, d):
+            if c := g[gamma]:
+                total += c * f[tuple(a - x for a, x in zip(alpha, gamma))]
+    return total
 
 
 def h_poly(r: int) -> SymPolynomial:
@@ -228,24 +223,22 @@ def e_poly(r: int) -> SymPolynomial:
     return SymPolynomial(r, {(1,) * r: 1})
 
 
-def strong_weight_function(u: AffinePermutation, v: AffinePermutation, l: int) -> WeightPolynomial:
-    """Counts of strong tableaux of shape u/v per weight composition."""
+def _weight_function(count, u: AffinePermutation, v: AffinePermutation, *extra) -> WeightPolynomial:
+    """Counts of tableaux of shape u/v per weight composition."""
     d = u.length - v.length
     if d < 0:
         return WeightPolynomial(0, {})
-    return WeightPolynomial(
-        d, {comp: c for comp in compositions(d) if (c := count_strong_tableaux(v, u, comp, l))}
-    )
+    return WeightPolynomial(d, {comp: c for comp in compositions(d) if (c := count(v, u, comp, *extra))})
+
+
+def strong_weight_function(u: AffinePermutation, v: AffinePermutation, l: int) -> WeightPolynomial:
+    """Counts of strong tableaux of shape u/v per weight composition."""
+    return _weight_function(count_strong_tableaux, u, v, l)
 
 
 def weak_weight_function(u: AffinePermutation, v: AffinePermutation) -> WeightPolynomial:
     """Counts of weak tableaux of shape u/v per weight composition."""
-    d = u.length - v.length
-    if d < 0:
-        return WeightPolynomial(0, {})
-    return WeightPolynomial(
-        d, {comp: c for comp in compositions(d) if (c := count_weak_tableaux(v, u, comp))}
-    )
+    return _weight_function(count_weak_tableaux, u, v)
 
 
 def strong_schur(
@@ -404,13 +397,6 @@ class PieriReport:
     mismatches: tuple = ()
 
 
-def _convolve(counts, caps: tuple[int, ...], r: int, alpha: tuple[int, ...]) -> int:
-    """[x^alpha] (g * f) from composition counts of f, where the exponent
-    vectors of g are those of sum r below caps: caps = alpha for g = h_r,
-    and min(a, 1) per part of alpha for g = e_r."""
-    return sum(counts(tuple(a - g for a, g in zip(alpha, gamma))) for gamma in _bounded_vectors(caps, r))
-
-
 def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, PieriReport]:
     """Verify all four Pieri rules at w for one r, composition by composition.
 
@@ -428,30 +414,25 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     strong_w = strong_weight_function(w, e, l)
     weak_w = weak_weight_function(w, e)
 
-    def h_caps(alpha):
-        return alpha
-
-    def e_caps(alpha):
-        return tuple(min(a, 1) for a in alpha)
-
-    # (name, base, caps, bounded quotient, targets), in the order reported
+    h_r, e_r = h_poly(r), e_poly(r)
+    # (name, base, multiplier, bounded quotient, targets), in the order reported
     rules = [
-        ("strong", strong_w, h_caps, False,
+        ("strong", strong_w, h_r, False,
          [strong_weight_function(s.outside, e, l) for s in weak_strips_from(w, r)]),
-        ("dual_strong", strong_w, e_caps, False,
+        ("dual_strong", strong_w, e_r, False,
          [strong_weight_function(s.outside, e, l) for s in dual_weak_strips_from(w, r)]),
-        ("weak", weak_w, h_caps, True,
+        ("weak", weak_w, h_r, True,
          [weak_weight_function(s.outside, e) for s in strong_strips_from(w, r, l)]),
-        ("dual_weak", weak_w, e_caps, True,
+        ("dual_weak", weak_w, e_r, True,
          [weak_weight_function(s.outside.inverse(), e) for s in strong_strips_from(w.inverse(), r, l)]),
     ]
     reports = {}
-    for name, base, caps, bounded, targets in rules:
+    for name, base, g, bounded, targets in rules:
         mism = []
         for alpha in compositions(d):
             if bounded and any(a >= n for a in alpha):
                 continue
-            lhs = _convolve(base.__getitem__, caps(alpha), r, alpha)
+            lhs = _product_coefficient(g, base, alpha)
             rhs = sum(t[alpha] for t in targets)
             if lhs != rhs:
                 mism.append((alpha, lhs, rhs))

@@ -127,7 +127,7 @@ def cyclically_decreasing(n: int, members) -> AffinePermutation:
             next_nice = i
         else:
             window[i - 1] = i - 1
-    return AffinePermutation(n, window, validate=False)
+    return AffinePermutation(n, window)
 
 
 def cyclically_increasing(n: int, members) -> AffinePermutation:

@@ -47,6 +47,10 @@ def test_from_window_validation():
         from_window(4, [1, 1, 3, 4])
     with pytest.raises(SumMismatch):
         from_window(3, [0, 2, 7])
+    with pytest.raises(ValueError, match="rank must be at least 2, got 1"):
+        from_window(1, [1])
+    with pytest.raises(ValueError, match="has length 2, expected 3"):
+        from_window(3, [1, 2])
 
 
 def test_apply_periodicity():

@@ -213,6 +213,16 @@ EMPTY_PAIR = {"n": 3, "l": 0, "P": {"inside": "[1,2,3]", "strips": []}, "Q": {"i
     (["insert", "--reverse", "--n", "3"], {**EMPTY_PAIR, "l": 0.5}, "pair document 'l' must be int"),
     (["verify", "pieri", "--n", "3", "--max", "2", "--rmax", "5"], None, "1 <= r <= n - 1"),
     (["verify", "pieri", "--n", "3", "--max", "2", "--rmax", "0"], None, "1 <= r <= n - 1"),
+    (["verify", "counts", "--n", "3", "--max-m", "-1"], None, "--max-m: must be at least 0, got -1"),
+    (["verify", "symmetry", "--n", "3", "--max", "-2"], None, "--max: must be at least 0, got -2"),
+    (["verify", "rsk-limit", "--n", "3", "--entries", "-1"], None, "--entries: must be at least 0"),
+    (["verify", "cauchy", "--n", "3", "--vy", "-1"], None, "--vy: must be at least 0"),
+    (["cauchy", "--n", "3", "--dx", "-1"], None, "--dx: must be at least 0"),
+    (["verify", "global-roundtrip", "--n", "3", "--dim", "-1"], None, "--dim: must be at least 0"),
+    (["verify", "roundtrip", "--n", "3", "--max", "-1"], None, "--max: must be at least 0"),
+    (["verify", "roundtrip", "--n", "3", "--samples", "-3"], None, "--samples: must be at least 0, got -3"),
+    (["enumerate", "covers", "--n", "3", "--inside", "[1,2,3]", "--size", "-1"], None, "--size: must be at least 0"),
+    (["verify", "counts", "--n", "3", "--max-m", "x"], None, "invalid nonnegative value: 'x'"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:

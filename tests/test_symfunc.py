@@ -52,6 +52,51 @@ def test_sym_polynomial_arithmetic():
     assert (h2 * e2).coeffs == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 3, (1, 1, 1, 1): 6}
     assert h2 * e2 == e2 * h2
     assert (h2 + e2) * e2 == h2 * e2 + e2 * e2
+    # [x^comp] reads the partition that sorts comp, zeros dropped
+    p = SymPolynomial(4, {(2, 1, 1): 7, (): 2})
+    assert p[(0, 1, 2, 0, 1)] == p[(1, 1, 2)] == 7
+    assert p[(0, 0)] == p[()] == 2
+    assert p[(2, 2)] == 0
+
+
+def _product_in_variables(f, g):
+    """Reference product: expand both factors in deg variables, multiply
+    monomial by monomial and read each m_lam off its decreasing exponent."""
+    deg = f.degree + g.degree
+    nvars = max(deg, 1)
+
+    def expand(p):
+        out = {}
+        for lam, c in p.coeffs.items():
+            for expo in set(itertools.permutations(lam + (0,) * (nvars - len(lam)))):
+                out[expo] = out.get(expo, 0) + c
+        return out
+
+    acc = {}
+    for ea, ca in expand(f).items():
+        for eb, cb in expand(g).items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            acc[key] = acc.get(key, 0) + ca * cb
+    return SymPolynomial(
+        deg, {tuple(x for x in e if x): c for e, c in acc.items() if list(e) == sorted(e, reverse=True)}
+    )
+
+
+def test_product_matches_expansion_in_variables():
+    pairs = [
+        (SymPolynomial(a, {lam: 2}), SymPolynomial(b, {mu: 3}))
+        for a in range(5)
+        for lam in partitions(a)
+        for b in range(8 - a)
+        for mu in partitions(b)
+    ]
+    assert len(pairs) == 184
+    for f, g in pairs:
+        assert f * g == _product_in_variables(f, g)
+    f = SymPolynomial(3, {(): 1, (1,): -2, (2, 1): 5})
+    g = SymPolynomial(3, {(1,): 3, (2,): 1, (1, 1, 1): -1})
+    assert f * g == _product_in_variables(f, g)
+    assert (f * g)[()] == 0 and (f * g)[(1,)] == 3
 
 
 def test_h_times_h_is_matrix_count():
