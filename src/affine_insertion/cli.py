@@ -43,7 +43,7 @@ from .serialize import (
 )
 from .strong import StrongTableau, marked_covers_above, strong_strips_from, strong_tableaux
 from .symfunc import cauchy_check, k_schur, k_schur_spin, pieri_checks
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .weak import WeakTableau, weak_strips_from, weak_tableaux
 
 CONVERT_KINDS = ("window", "core", "bounded", "offsets", "code")
@@ -137,10 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pieri)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        choices=("roundtrip", "cauchy", "pieri", "counts", "rsk-limit", "symmetry", "global-roundtrip"),
-    )
+    p.add_argument("suite", choices=tuple(SUITES))
     p.add_argument("--n", type=rank, required=True)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--max", type=nonnegative, default=3, help="length bound (roundtrip, pieri, symmetry)")

@@ -14,7 +14,6 @@ exact power-series equality and needs no symmetry assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .affperm import AffinePermutation, identity
@@ -440,40 +439,6 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     return reports
 
 
-def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[int]:
-    """Solve an exact, possibly overdetermined linear system over Q and
-    demand an integer solution; raise SingularSystem otherwise."""
-    m, k = len(rows), (len(rows[0]) if rows else 0)
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(pivots) < k:
-        raise SingularSystem("basis vectors are dependent at this degree")
-    for i in range(r, m):
-        if a[i][k]:
-            raise SingularSystem("inconsistent system: input outside the span")
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][k]
-    if any(x.denominator != 1 for x in sol):
-        raise SingularSystem(f"non-integer expansion coefficients: {sol}")
-    return [int(x) for x in sol]
-
-
 def _basis_function(basis: str, n: int, l: int):
     """w -> monomial expansion of the strong or the weak Schur function of w."""
     if basis == "strong":
@@ -490,25 +455,45 @@ def expand_in_basis(
 
     The strong basis spans the subring generated by h_1..h_{n-1}; the weak
     basis spans the bounded quotient, where f is first truncated.
+
+    Both bases are unitriangular in monomials under lexicographic order, so
+    f is reduced by leading terms in integers.  The weak Schur function of
+    the Grassmannian element of lam is m_lam plus lex-smaller terms.  The
+    k-Schur function of lam is s_lam plus Schur functions of partitions
+    dominating lam, and omega maps it to the k-Schur function of the
+    k-conjugate lam^{omega_k} (both Lapointe-Morse); so, applying omega,
+    the k-Schur function of lam leads with m_{(lam^{omega_k})'}.  Each
+    leading term is checked here rather than assumed: a zero function (the
+    strong basis at l != 0), a leading coefficient other than 1, a shared
+    leading partition, or an f outside the span raises SingularSystem.
+
+    >>> expand_in_basis(h_poly(2), "strong", 3)
+    {AffinePermutation(3, [0, 1, 5]): 1}
     """
     schur = _basis_function(basis, n, l)
     if basis == "weak":
         f = f.truncate_bounded(n)
     out: dict[AffinePermutation, int] = {}
-    for d in range(f.degree + 1):
-        piece = f.homogeneous_piece(d)
-        if not piece:
-            continue
+    for d in sorted({sum(lam) for lam in f.coeffs}):
         elements = grassmannians_by_length(n, d)
-        if not elements:
-            raise SingularSystem(f"no basis elements at degree {d}")
-        keys = sorted(partitions(d, None if basis == "strong" else n - 1))
-        vecs = [schur(wv) for wv in elements]
-        rows = [[vec.coeffs.get(key, 0) for vec in vecs] for key in keys]
-        rhs = [piece.get(key, 0) for key in keys]
-        for coeff, wv in zip(_solve_integer_system(rows, rhs), elements):
-            if coeff:
-                out[wv] = coeff
+        leaders: dict[tuple[int, ...], tuple[AffinePermutation, SymPolynomial]] = {}
+        for w in elements:
+            vec = schur(w)
+            lead = max(vec.coeffs, default=None)
+            if lead is None or vec.coeffs[lead] != 1 or lead in leaders:
+                raise SingularSystem(f"the basis function of {w} has no unitriangular leading term")
+            leaders[lead] = (w, vec)
+        rest, coeffs = f.homogeneous_piece(d), {}
+        while rest:
+            lead = max(rest)
+            if lead not in leaders:
+                raise SingularSystem(f"input outside the span: m_{lead} leads no basis function")
+            w, vec = leaders[lead]
+            c = coeffs[w] = rest[lead]
+            for lam, x in vec.coeffs.items():
+                rest[lam] = rest.get(lam, 0) - c * x
+            rest = {lam: x for lam, x in rest.items() if x}
+        out.update((w, coeffs[w]) for w in elements if w in coeffs)
     return out
 
 

@@ -141,6 +141,8 @@ def _bounded_matrices(n: int, dim: int, total: int):
 
 def verify_counts(n: int, max_m: int, l: int = 0) -> VerifyResult:
     """Factorial identity, and for n = 2, 3 the closed-form tableau counts."""
+    if max_m < 1:
+        raise ValueError(f"counts needs --max-m >= 1, got {max_m}")
     res = VerifyResult(True)
     for m in range(1, max_m + 1):
         total = sum(
@@ -203,6 +205,8 @@ def verify_pieri(n: int, l: int, max_len: int, rmax: int | None = None) -> Verif
 
 def verify_rsk_limit(n: int, entries: int, dim: int) -> VerifyResult:
     """grassmannian_rsk at large n equals classical row-insertion RSK."""
+    if entries < 1 or dim < 1:
+        raise ValueError(f"rsk-limit needs --entries >= 1 and --dim >= 1, got {entries} and {dim}")
     res = VerifyResult(True)
     count = 0
     for values in itertools.product(range(entries + 1), repeat=dim * dim):

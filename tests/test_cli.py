@@ -223,6 +223,9 @@ EMPTY_PAIR = {"n": 3, "l": 0, "P": {"inside": "[1,2,3]", "strips": []}, "Q": {"i
     (["verify", "roundtrip", "--n", "3", "--samples", "-3"], None, "--samples: must be at least 0, got -3"),
     (["enumerate", "covers", "--n", "3", "--inside", "[1,2,3]", "--size", "-1"], None, "--size: must be at least 0"),
     (["verify", "counts", "--n", "3", "--max-m", "x"], None, "invalid nonnegative value: 'x'"),
+    (["verify", "rsk-limit", "--n", "3", "--entries", "0"], None, "--entries >= 1"),
+    (["verify", "rsk-limit", "--n", "3", "--dim", "0"], None, "--dim >= 1"),
+    (["verify", "counts", "--n", "3", "--max-m", "0"], None, "--max-m >= 1, got 0"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:

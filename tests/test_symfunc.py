@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,14 @@ from affine_insertion.affperm import (
     identity,
     rotate,
 )
-from affine_insertion.cores import grassmannians_by_length, partitions
+from affine_insertion.cores import (
+    conjugate,
+    core_of_bounded,
+    grassmannian_of,
+    grassmannians_by_length,
+    k_conjugate,
+    partitions,
+)
 from affine_insertion.symfunc import (
     NotSymmetric,
     SingularSystem,
@@ -330,6 +338,58 @@ def test_singular_system_reported():
     # m_2 lies outside the span of h_1^2 inside the n=2 strong subring
     with pytest.raises(SingularSystem):
         expand_in_basis(SymPolynomial(2, {(2,): 1}), "strong", 2)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_basis_functions_lead_with_coefficient_one(n):
+    # the leading terms the basis expansion reduces by, read against cores:
+    # k-Schur of b leads with m of the conjugate of b's k-conjugate, the
+    # weak Schur function of b's Grassmannian element leads with m_b
+    for d in range(7):
+        for b in partitions(d, n - 1):
+            strong = k_schur(b, n).coeffs
+            weak = weak_schur(grassmannian_of(core_of_bounded(b, n), n), identity(n)).coeffs
+            assert max(strong) == conjugate(k_conjugate(b, n)) and strong[max(strong)] == 1
+            assert max(weak) == b and weak[b] == 1
+
+
+def _scaled(c, poly):
+    return SymPolynomial(poly.degree, {lam: c * x for lam, x in poly.coeffs.items()})
+
+
+@pytest.mark.parametrize("basis, n", [("strong", 3), ("strong", 4), ("weak", 3), ("weak", 4)])
+def test_expansion_recovers_random_combinations(basis, n):
+    rng = random.Random(n)
+    schur = symfunc._basis_function(basis, n, 0)
+    elements = [w for d in range(6) for w in grassmannians_by_length(n, d)]
+    for _ in range(10):
+        combo = {w: rng.choice([-3, -2, -1, 1, 2, 3]) for w in rng.sample(elements, 4)}
+        f = SymPolynomial(0, {})
+        for w, c in combo.items():
+            f = f + _scaled(c, schur(w))
+        assert expand_in_basis(f, basis, n) == combo
+
+
+@pytest.mark.parametrize("basis", ["strong", "weak"])
+@pytest.mark.parametrize("planted", [
+    lambda full, w: _scaled(2, full(w)),  # leading coefficient 2
+    lambda full, w: h_poly(w.length),  # every function at a degree leads with m_(d)
+], ids=["leading-coefficient-2", "shared-leading-term"])
+def test_planted_non_unitriangular_basis_raises(monkeypatch, basis, planted):
+    # 2 h_2 is twice one basis function, so with every function doubled it
+    # still expands in integers; only the leading-term check refuses it
+    f = h_poly(2) + h_poly(2)
+    assert expand_in_basis(f, basis, 3) == {c0m(3, 2): 2}
+    full = symfunc._basis_function(basis, 3, 0)
+    monkeypatch.setattr(symfunc, "_basis_function", lambda *args: lambda w: planted(full, w))
+    with pytest.raises(SingularSystem):
+        expand_in_basis(f, basis, 3)
+
+
+def test_zero_basis_function_raises():
+    # the strong Schur functions at l = 1 include zero functions
+    with pytest.raises(SingularSystem):
+        expand_in_basis(h_poly(2), "strong", 3, l=1)
 
 
 def test_weight_function_zero_parts():
