@@ -111,4 +111,27 @@ from .symfunc import (
     weak_schur,
 )
 
+from . import affperm, chains, cores, strong, symfunc, weak
+
 __version__ = "0.1.0"
+
+# Every memo in the package, taken before anything can rebind the names.
+_CACHES = (
+    strong.marked_covers_above,
+    strong.strong_strips_from,
+    weak.weak_strips_from,
+    weak.dual_weak_strips_from,
+    chains._count,
+    symfunc.count_matrices,
+    strong.count_standard_strong,
+    weak.count_standard_weak,
+    cores.grassmannians_by_length,
+)
+
+
+def clear_caches() -> None:
+    """Empty every memo: the strip and cover enumerators, the tableau and
+    matrix counts, the Grassmannian lists and the Coxeter-length table."""
+    for memo in _CACHES:
+        memo.cache_clear()
+    affperm._length_cache.clear()

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .affperm import AffinePermutation, reduced_word
+from .chains import GRASSMANNIAN_LISTS
 
 from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
@@ -297,7 +298,7 @@ def partitions(total: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-@cache
+@lru_cache(maxsize=GRASSMANNIAN_LISTS)
 def grassmannians_by_length(n: int, length: int) -> tuple[AffinePermutation, ...]:
     """All 0-Grassmannian elements of the given length, via bounded partitions."""
     return tuple(

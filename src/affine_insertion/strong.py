@@ -11,10 +11,10 @@ distinct marked covers; their number is the affine Chevalley multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .affperm import AffinePermutation, canonical_reflection, right_mult_transposition
-from .chains import StripChain, count_chains, walk_chains
+from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains
 
 __all__ = [
     "NotACover",
@@ -124,8 +124,10 @@ def _cover_candidates(w: AffinePermutation, i: int, upward: bool):
     return cands
 
 
-def marked_covers_above(w: AffinePermutation, l: int) -> list[MarkedStrongCover]:
-    """Every marked strong cover with the given inside, sorted by (mark, i)."""
+@lru_cache(maxsize=NEIGHBOURHOODS)
+def marked_covers_above(w: AffinePermutation, l: int) -> tuple[MarkedStrongCover, ...]:
+    """Every marked strong cover with the given inside, sorted by (mark, i);
+    memoised per (w, l)."""
     n = w.n
     covers = []
     for i in range(l - n + 1, l + 1):
@@ -136,8 +138,7 @@ def marked_covers_above(w: AffinePermutation, l: int) -> list[MarkedStrongCover]
             # straddling translates (i + kn, j + kn): k in [floor((l-j)/n)+1, 0]
             for k in range((l - j) // n + 1, 1):
                 covers.append(MarkedStrongCover(w, i + k * n, j + k * n, u, l))
-    covers.sort(key=lambda c: (c.mark, c.i))
-    return covers
+    return tuple(sorted(covers, key=lambda c: (c.mark, c.i)))
 
 
 def marked_covers_below(w: AffinePermutation, l: int) -> list[MarkedStrongCover]:
@@ -216,10 +217,11 @@ class StrongStrip:
         return f"StrongStrip({self.render()})"
 
 
-def strong_strips_from(w: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
-    """All strong strips of size r with the given inside."""
+@lru_cache(maxsize=NEIGHBOURHOODS)
+def strong_strips_from(w: AffinePermutation, r: int, l: int) -> tuple[StrongStrip, ...]:
+    """All strong strips of size r with the given inside; memoised per (w, r, l)."""
     if r < 0:
-        return []
+        return ()
     strips = [StrongStrip(w, ())]
     for _ in range(r):
         nxt = []
@@ -229,7 +231,7 @@ def strong_strips_from(w: AffinePermutation, r: int, l: int) -> list[StrongStrip
                 if floor is None or c.mark > floor:
                     nxt.append(s.appended(c))
         strips = nxt
-    return strips
+    return tuple(strips)
 
 
 def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
@@ -269,7 +271,7 @@ def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation,
     return count_chains(strong_strips_from, (l,), inside, outside, weight)
 
 
-@cache
+@lru_cache(maxsize=STANDARD_COUNTS)
 def count_standard_strong(w: AffinePermutation, l: int) -> int:
     """Number of standard strong tableaux of shape w (all strips of size 1)."""
     if w.is_identity:

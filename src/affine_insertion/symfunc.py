@@ -14,10 +14,10 @@ exact power-series equality and needs no symmetry assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .affperm import AffinePermutation, identity
-from .chains import walk_chains
+from .chains import MATRIX_COUNTS, walk_chains
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_tableau
 from .strong import StrongTableau, count_strong_tableaux, strong_strips_from
 from .weak import (
@@ -78,9 +78,14 @@ def compositions(total: int):
             yield (first,) + rest
 
 
-@cache
+@lru_cache(maxsize=MATRIX_COUNTS)
 def count_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
-    """Nonnegative integer matrices with the given row and column sums."""
+    """Nonnegative integer matrices with the given row and column sums.
+
+    The count does not change when the columns are permuted or empty ones
+    dropped, so the recursion passes the remaining column sums sorted in
+    decreasing order without zeros, and equal states share one memo entry.
+    """
     if sum(rows) != sum(cols):
         return 0
     if not rows:
@@ -88,7 +93,8 @@ def count_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     first, rest = rows[0], rows[1:]
     total = 0
     for split in _bounded_vectors(cols, first):
-        total += count_matrices(rest, tuple(c - g for c, g in zip(cols, split)))
+        left = sorted((c - g for c, g in zip(cols, split) if c != g), reverse=True)
+        total += count_matrices(rest, tuple(left))
     return total
 
 

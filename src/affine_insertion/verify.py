@@ -204,9 +204,16 @@ def verify_pieri(n: int, l: int, max_len: int, rmax: int | None = None) -> Verif
 
 
 def verify_rsk_limit(n: int, entries: int, dim: int) -> VerifyResult:
-    """grassmannian_rsk at large n equals classical row-insertion RSK."""
+    """grassmannian_rsk at large n equals classical row-insertion RSK.
+
+    The limit is claimed where every shape is an n-core.  A matrix here has
+    at most entries * dim**2 cells, and every partition with fewer than n
+    cells is an n-core, so n must exceed entries * dim**2.
+    """
     if entries < 1 or dim < 1:
         raise ValueError(f"rsk-limit needs --entries >= 1 and --dim >= 1, got {entries} and {dim}")
+    if n <= entries * dim * dim:
+        raise ValueError(f"rsk-limit needs --n > entries * dim^2 = {entries * dim * dim}, got {n}")
     res = VerifyResult(True)
     count = 0
     for values in itertools.product(range(entries + 1), repeat=dim * dim):

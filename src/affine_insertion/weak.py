@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .affperm import AffinePermutation, simple_reflection
-from .chains import StripChain, count_chains, walk_chains
+from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains
 
 __all__ = [
     "FullSet",
@@ -214,25 +214,26 @@ def weak_strip_between(w: AffinePermutation, v: AffinePermutation) -> WeakStrip 
     return WeakStrip(w, members, v)
 
 
-def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> list:
+def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> tuple:
     """Brute force over all r-subsets A of Z/nZ: the strips w -> element(n, A) * w
     whose length is additive."""
     n = w.n
     if not 0 <= r <= n - 1:
-        return []
+        return ()
     if r == 0:
-        return [strip_class(w, frozenset(), w)]
+        return (strip_class(w, frozenset(), w),)
     out = []
     for combo in itertools.combinations(range(n), r):
         members = frozenset(combo)
         v = element(n, members) * w
         if v.length == w.length + r:
             out.append(strip_class(w, members, v))
-    return out
+    return tuple(out)
 
 
-def weak_strips_from(w: AffinePermutation, r: int) -> list[WeakStrip]:
-    """All weak strips of size r with the given inside."""
+@lru_cache(maxsize=NEIGHBOURHOODS)
+def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
+    """All weak strips of size r with the given inside; memoised per (w, r)."""
     return _strips_from(w, r, cyclically_decreasing, WeakStrip)
 
 
@@ -259,8 +260,9 @@ class DualWeakStrip:
         return len(self.residues)
 
 
-def dual_weak_strips_from(w: AffinePermutation, r: int) -> list[DualWeakStrip]:
-    """All dual weak strips of size r with the given inside."""
+@lru_cache(maxsize=NEIGHBOURHOODS)
+def dual_weak_strips_from(w: AffinePermutation, r: int) -> tuple[DualWeakStrip, ...]:
+    """All dual weak strips of size r with the given inside; memoised per (w, r)."""
     return _strips_from(w, r, cyclically_increasing, DualWeakStrip)
 
 
@@ -289,7 +291,7 @@ def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, w
     return count_chains(weak_strips_from, (), inside, outside, weight, max_size=inside.n - 1)
 
 
-@cache
+@lru_cache(maxsize=STANDARD_COUNTS)
 def count_standard_weak(w: AffinePermutation) -> int:
     """Number of standard weak tableaux of shape w, i.e. reduced words of w."""
     if w.is_identity:

@@ -51,6 +51,27 @@ def test_compositions_and_matrices():
     assert count_matrices((), ()) == 1
 
 
+def _brute_count_matrices(rows, cols):
+    cells = [range(min(r, c) + 1) for r in rows for c in cols]
+    width = len(cols)
+    return sum(
+        1
+        for entries in itertools.product(*cells)
+        if all(sum(entries[i * width:(i + 1) * width]) == r for i, r in enumerate(rows))
+        and all(sum(entries[j::width]) == c for j, c in enumerate(cols))
+    )
+
+
+def test_count_matrices_on_permuted_and_zero_padded_columns():
+    # the memo key sorts the remaining columns and drops zeros; every
+    # arrangement of the same columns must still count the same matrices
+    for rows in [(1,), (2, 1), (1, 2), (0, 3), (2, 0, 1), (1, 1, 1)]:
+        for cols in [(3,), (2, 1), (1, 1, 1), (2, 2), (3, 1), (1, 1, 2)]:
+            for padded in {cols, cols + (0,), (0,) + cols, (cols[0], 0) + cols[1:]}:
+                for perm in set(itertools.permutations(padded)):
+                    assert count_matrices(rows, perm) == _brute_count_matrices(rows, perm), (rows, perm)
+
+
 def test_sym_polynomial_arithmetic():
     h2 = h_poly(2)
     assert h2.coeffs == {(2,): 1, (1, 1): 1}
