@@ -225,9 +225,9 @@ EMPTY_PAIR = {"n": 3, "l": 0, "P": {"inside": "[1,2,3]", "strips": []}, "Q": {"i
     (["verify", "counts", "--n", "3", "--max-m", "x"], None, "invalid nonnegative value: 'x'"),
     (["verify", "rsk-limit", "--n", "3", "--entries", "0"], None, "--entries >= 1"),
     (["verify", "rsk-limit", "--n", "3", "--dim", "0"], None, "--dim >= 1"),
+    (["verify", "counts", "--n", "3", "--max-m", "0"], None, "--max-m >= 1, got 0"),
     (["verify", "rsk-limit", "--n", "3"], None, "--n > entries * dim^2 = 4, got 3"),
     (["verify", "rsk-limit", "--n", "4"], None, "--n > entries * dim^2 = 4, got 4"),
-    (["verify", "counts", "--n", "3", "--max-m", "0"], None, "--max-m >= 1, got 0"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:
