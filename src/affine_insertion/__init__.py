@@ -121,7 +121,8 @@ _CACHES = (
     strong.strong_strips_from,
     weak.weak_strips_from,
     weak.dual_weak_strips_from,
-    chains._count,
+    chains.weight_table,
+    symfunc._gamma_vectors,
     symfunc.count_matrices,
     strong.count_standard_strong,
     weak.count_standard_weak,

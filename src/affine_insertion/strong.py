@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import AffinePermutation, canonical_reflection, right_mult_transposition
-from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains
+from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains, weight_table
 
 __all__ = [
     "NotACover",
@@ -32,6 +32,7 @@ __all__ = [
     "StrongTableau",
     "strong_tableaux",
     "count_strong_tableaux",
+    "strong_weight_table",
     "count_standard_strong",
 ]
 
@@ -269,6 +270,11 @@ def strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, l: in
 def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight, l: int) -> int:
     """Number of strong tableaux with the given weight composition."""
     return count_chains(strong_strips_from, (l,), inside, outside, weight)
+
+
+def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l: int) -> dict:
+    """Strong tableau counts per positive weight composition; the memo's own dict."""
+    return weight_table(strong_strips_from, (l,), inside, outside, None)
 
 
 @lru_cache(maxsize=STANDARD_COUNTS)

@@ -17,15 +17,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import AffinePermutation, identity
-from .chains import MATRIX_COUNTS, walk_chains
+from .chains import GAMMA_VECTORS, MATRIX_COUNTS, walk_chains
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_tableau
-from .strong import StrongTableau, count_strong_tableaux, strong_strips_from
+from .strong import StrongTableau, count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import (
     count_weak_tableaux,
     dual_weak_strips_from,
     weak_order_lower,
     weak_order_upper,
     weak_strips_from,
+    weak_weight_table,
 )
 
 __all__ = [
@@ -212,10 +213,16 @@ def _product_coefficient(g: SymPolynomial, f, alpha: tuple[int, ...]) -> int:
     caps = tuple(min(a, top) for a in alpha)
     total = 0
     for d in {sum(lam) for lam in g.coeffs}:
-        for gamma in _bounded_vectors(caps, d):
+        for gamma in _gamma_vectors(caps, d):
             if c := g[gamma]:
                 total += c * f[tuple(a - x for a, x in zip(alpha, gamma))]
     return total
+
+
+@lru_cache(maxsize=GAMMA_VECTORS)
+def _gamma_vectors(caps: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
+    """The vectors of _bounded_vectors(caps, d), memoised per (caps, d)."""
+    return tuple(_bounded_vectors(caps, d))
 
 
 def h_poly(r: int) -> SymPolynomial:
@@ -228,22 +235,24 @@ def e_poly(r: int) -> SymPolynomial:
     return SymPolynomial(r, {(1,) * r: 1})
 
 
-def _weight_function(count, u: AffinePermutation, v: AffinePermutation, *extra) -> WeightPolynomial:
-    """Counts of tableaux of shape u/v per weight composition."""
+def _weight_function(table, u: AffinePermutation, v: AffinePermutation, *extra) -> WeightPolynomial:
+    """Counts of tableaux of shape u/v per weight composition, in the
+    lexicographic order of compositions(d), in a dict of its own (the
+    table is the memo's)."""
     d = u.length - v.length
     if d < 0:
         return WeightPolynomial(0, {})
-    return WeightPolynomial(d, {comp: c for comp in compositions(d) if (c := count(v, u, comp, *extra))})
+    return WeightPolynomial(d, dict(sorted(table(v, u, *extra).items())))
 
 
 def strong_weight_function(u: AffinePermutation, v: AffinePermutation, l: int) -> WeightPolynomial:
     """Counts of strong tableaux of shape u/v per weight composition."""
-    return _weight_function(count_strong_tableaux, u, v, l)
+    return _weight_function(strong_weight_table, u, v, l)
 
 
 def weak_weight_function(u: AffinePermutation, v: AffinePermutation) -> WeightPolynomial:
     """Counts of weak tableaux of shape u/v per weight composition."""
-    return _weight_function(count_weak_tableaux, u, v)
+    return _weight_function(weak_weight_table, u, v)
 
 
 def strong_schur(
@@ -371,23 +380,34 @@ def cauchy_check(
     max_z = min(v.length + dx, u.length + vy * (n - 1))
     zs = [z for z in weak_order_upper(u, max(0, max_z - u.length)) if z.length >= v.length]
 
+    # the lhs terms grouped by their alpha-part, the z's by their length gaps
+    # over v and over u, so each alpha filters them once for all betas
+    f_by_alpha: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for (a1, b1), cf in f_coeffs.items():
+        f_by_alpha.setdefault(a1, []).append((b1, cf))
+    zs_by_gaps: dict[tuple[int, int], list[AffinePermutation]] = {}
+    for z in zs:
+        zs_by_gaps.setdefault((z.length - v.length, z.length - u.length), []).append(z)
+
     checked = 0
     mismatches = []
     for alpha in alphas:
+        da = sum(alpha)
+        terms = [
+            (tuple(x - y for x, y in zip(alpha, a1)), b1, cf)
+            for a1, group in f_by_alpha.items()
+            if all(x >= y for x, y in zip(alpha, a1))
+            for b1, cf in group
+        ]
         for beta in betas:
-            da, db = sum(alpha), sum(beta)
             lhs = 0
-            for (a1, b1), cf in f_coeffs.items():
-                if all(x >= y for x, y in zip(alpha, a1)) and all(x >= y for x, y in zip(beta, b1)):
-                    a2 = tuple(x - y for x, y in zip(alpha, a1))
-                    b2 = tuple(x - y for x, y in zip(beta, b1))
-                    lhs += cf * _omega_coefficient(n, a2, b2)
+            for a2, b1, cf in terms:
+                if all(x >= y for x, y in zip(beta, b1)):
+                    lhs += cf * _omega_coefficient(n, a2, tuple(x - y for x, y in zip(beta, b1)))
             rhs = 0
-            for z in zs:
-                if z.length - v.length == da and z.length - u.length == db:
-                    cs = count_strong_tableaux(v, z, alpha, l)
-                    if cs:
-                        rhs += cs * count_weak_tableaux(u, z, beta)
+            for z in zs_by_gaps.get((da, sum(beta)), ()):
+                if cs := count_strong_tableaux(v, z, alpha, l):
+                    rhs += cs * count_weak_tableaux(u, z, beta)
             checked += 1
             if lhs != rhs:
                 mismatches.append((alpha, beta, lhs, rhs))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import AffinePermutation, simple_reflection
-from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains
+from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains, weight_table
 
 __all__ = [
     "FullSet",
@@ -39,6 +39,7 @@ __all__ = [
     "WeakTableau",
     "weak_tableaux",
     "count_weak_tableaux",
+    "weak_weight_table",
     "count_standard_weak",
     "parse_residue_set",
     "format_residue_set",
@@ -289,6 +290,11 @@ def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, w
     Zero parts are allowed (they force trivial strips) and are dropped.
     """
     return count_chains(weak_strips_from, (), inside, outside, weight, max_size=inside.n - 1)
+
+
+def weak_weight_table(inside: AffinePermutation, outside: AffinePermutation) -> dict:
+    """Weak tableau counts per positive weight composition; the memo's own dict."""
+    return weight_table(weak_strips_from, (), inside, outside, inside.n - 1)
 
 
 @lru_cache(maxsize=STANDARD_COUNTS)

@@ -12,7 +12,7 @@ import pytest
 import affine_insertion
 from affine_insertion import affperm, clear_caches
 from affine_insertion.affperm import elements_by_length
-from affine_insertion.chains import _count
+from affine_insertion.chains import weight_table
 from affine_insertion.cores import grassmannians_by_length
 from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
 from affine_insertion.symfunc import count_matrices, k_schur, pieri_checks
@@ -67,9 +67,11 @@ def test_kschur_computes_each_neighbourhood_once():
     clear_caches()
     b = (3, 3, 2, 2, 1)
     terms = sorted([list(lam), c] for lam, c in k_schur(b, 4).coeffs.items())
-    for memo in (marked_covers_above, strong_strips_from, _count):
+    for memo in (marked_covers_above, strong_strips_from, weight_table):
         info = memo.cache_info()
         assert info.misses == info.currsize, memo.__name__  # nothing computed twice, nothing evicted
-        assert info.hits > 0, memo.__name__
+    # one table per shape asks each strip neighbourhood once; covers and tables are shared
+    assert strong_strips_from.cache_info().hits == 0
+    assert marked_covers_above.cache_info().hits > 0 and weight_table.cache_info().hits > 0
     digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
     assert digest == json.loads(DIGESTS_PATH.read_text())["plain n=4 [3, 3, 2, 2, 1]"]

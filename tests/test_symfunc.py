@@ -6,6 +6,7 @@ import pytest
 
 from affine_insertion import symfunc
 from affine_insertion.affperm import (
+    AffinePermutation,
     dynkin_flip,
     from_reduced_word,
     identity,
@@ -239,6 +240,76 @@ def test_generalized_cauchy():
     v = from_reduced_word(3, [1, 0])
     assert cauchy_check(3, 0, dx=2, vy=2, u=u, v=v).ok
     assert cauchy_check(3, 0, dx=2, vy=2, u=v, v=u).ok
+
+
+def _cauchy_reference(n, l=0, dx=3, vy=2, u=None, v=None):
+    """cauchy_check as one loop per (alpha, beta) over all lhs terms and all z."""
+    u = u if u is not None else identity(n)
+    v = v if v is not None else identity(n)
+    px = max(dx, 1)
+    bounded = symfunc._bounded_vectors
+    alphas = [a for total in range(dx + 1) for a in bounded((total,) * px, total)]
+    betas = [b for total in range(vy * (n - 1) + 1) for b in bounded((n - 1,) * vy, total)]
+    f_coeffs = {}
+    for w in (w for w in symfunc.weak_order_lower(v) if w.length <= u.length):
+        da, db = u.length - w.length, v.length - w.length
+        if da < 0 or da > dx or db > vy * (n - 1):
+            continue
+        for alpha in (a for a in alphas if sum(a) == da):
+            if ca := symfunc.count_strong_tableaux(w, u, alpha, l):
+                for beta in (b for b in betas if sum(b) == db):
+                    if cb := symfunc.count_weak_tableaux(w, v, beta):
+                        f_coeffs[(alpha, beta)] = f_coeffs.get((alpha, beta), 0) + ca * cb
+    max_z = min(v.length + dx, u.length + vy * (n - 1))
+    zs = [z for z in symfunc.weak_order_upper(u, max(0, max_z - u.length)) if z.length >= v.length]
+    checked, mismatches = 0, []
+    for alpha in alphas:
+        for beta in betas:
+            lhs = 0
+            for (a1, b1), cf in f_coeffs.items():
+                if all(x >= y for x, y in zip(alpha, a1)) and all(x >= y for x, y in zip(beta, b1)):
+                    a2 = tuple(x - y for x, y in zip(alpha, a1))
+                    b2 = tuple(x - y for x, y in zip(beta, b1))
+                    lhs += cf * symfunc._omega_coefficient(n, a2, b2)
+            rhs = 0
+            for z in zs:
+                if z.length - v.length == sum(alpha) and z.length - u.length == sum(beta):
+                    if cs := symfunc.count_strong_tableaux(v, z, alpha, l):
+                        rhs += cs * symfunc.count_weak_tableaux(u, z, beta)
+            checked += 1
+            if lhs != rhs:
+                mismatches.append((alpha, beta, lhs, rhs))
+    return symfunc.CauchyReport(not mismatches, checked, tuple(mismatches))
+
+
+CAUCHY_BORDERS = {
+    "plain": (None, None),
+    "[0,1,5]/[-1,1,6]": ([0, 1, 5], [-1, 1, 6]),
+    "[0,2,4]/[0,2,4]": ([0, 2, 4], [0, 2, 4]),
+}
+
+
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("border", CAUCHY_BORDERS)
+def test_cauchy_check_matches_the_reference_loop(border, l):
+    u, v = (w and AffinePermutation(3, w) for w in CAUCHY_BORDERS[border])
+    for dx in range(6):
+        for vy in range(3):
+            got = cauchy_check(3, l, dx=dx, vy=vy, u=u, v=v)
+            assert got == _cauchy_reference(3, l, dx=dx, vy=vy, u=u, v=v), (dx, vy)
+
+
+def test_cauchy_check_matches_the_reference_loop_at_n4():
+    assert cauchy_check(4, 0, dx=3, vy=1) == _cauchy_reference(4, 0, dx=3, vy=1)
+
+
+def test_cauchy_planted_omega_gives_the_reference_mismatches(monkeypatch):
+    omega = symfunc._omega_coefficient
+    monkeypatch.setattr(symfunc, "_omega_coefficient", lambda n, a, b: omega(n, a, b) + (sum(a) == 1 and sum(b) == 2))
+    u, v = AffinePermutation(3, [0, 1, 5]), AffinePermutation(3, [-1, 1, 6])
+    for args in [dict(dx=3, vy=2), dict(dx=4, vy=2, u=u, v=v)]:
+        got = cauchy_check(3, 0, **args)
+        assert not got.ok and got == _cauchy_reference(3, 0, **args), args
 
 
 def test_expand_h_in_strong_basis():
