@@ -127,12 +127,14 @@ _CACHES = (
     strong.count_standard_strong,
     weak.count_standard_weak,
     cores.grassmannians_by_length,
+    cores.core_of,
 )
 
 
 def clear_caches() -> None:
     """Empty every memo: the strip and cover enumerators, the tableau and
-    matrix counts, the Grassmannian lists and the Coxeter-length table."""
+    matrix counts, the Grassmannian lists, the cores and the Coxeter-length
+    table."""
     for memo in _CACHES:
         memo.cache_clear()
     affperm._length_cache.clear()

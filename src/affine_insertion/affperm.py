@@ -90,9 +90,10 @@ class AffinePermutation:
 
     def __mul__(self, other: AffinePermutation) -> AffinePermutation:
         """Function composition: (self * other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise RankMismatch(f"rank {self.n} vs {other.n}")
-        return AffinePermutation(self.n, tuple(self(v) for v in other.window))
+        n, win = self.n, self.window
+        if n != other.n:
+            raise RankMismatch(f"rank {n} vs {other.n}")
+        return AffinePermutation(n, [win[(v - 1) % n] + (v - 1) // n * n for v in other.window])
 
     def __eq__(self, other) -> bool:
         return (
@@ -134,7 +135,10 @@ class AffinePermutation:
 
     def is_grassmannian(self, l: int = 0) -> bool:
         """True iff the window on positions l+1, ..., l+n is increasing."""
-        vals = [self(l + m) for m in range(1, self.n + 1)]
+        if l % self.n == 0:
+            vals = self.window  # a shift of the stored window by a multiple of n
+        else:
+            vals = [self(l + m) for m in range(1, self.n + 1)]
         return all(a < b for a, b in zip(vals, vals[1:]))
 
     def has_right_descent(self, r: int) -> bool:
@@ -188,16 +192,18 @@ def simple_reflection(n: int, i: int) -> AffinePermutation:
 
 
 def right_mult_transposition(w: AffinePermutation, i: int, j: int) -> AffinePermutation:
-    """w * t_{ij}, swapping the entries in positions i + kn and j + kn."""
-    n = w.n
-    window = []
-    for x in range(1, n + 1):
-        if (x - i) % n == 0:
-            window.append(w(j + (x - i)))
-        elif (x - j) % n == 0:
-            window.append(w(i + (x - j)))
-        else:
-            window.append(w(x))
+    """w * t_{ij}, swapping the entries in positions i + kn and j + kn.
+
+    Only the window entries of the residue classes of i and j change; when
+    i and j share a class, that entry becomes w(j + x - i) at its position x.
+    """
+    n, win = w.n, w.window
+    qi, ri = divmod(i - 1, n)
+    qj, rj = divmod(j - 1, n)
+    window = list(win)
+    window[ri] = win[rj] + (qj - qi) * n
+    if ri != rj:
+        window[rj] = win[ri] + (qi - qj) * n
     return AffinePermutation(n, window)
 
 

@@ -18,15 +18,17 @@ from .affperm import AffinePermutation
 # Bounds of the package's memos (affine_insertion.clear_caches empties them
 # all).  Each is well above the working set of the perfbench workloads, so
 # those runs evict nothing: at most 534 distinct arguments per strip or cover
-# enumerator, 25,137 weight tables on pieri-cauchy (2,199 on kschur-table)
-# and 188 gamma-vector keys.  A weight table is a dict, so its bound is kept
-# near its working set.
+# enumerator, 25,137 weight tables on pieri-cauchy (2,199 on kschur-table),
+# 188 gamma-vector keys, and a core working set of 107 elements on 900
+# rsk-limit items (132 on a full 3,600-item batch, 23 on kschur-table).  A
+# weight table is a dict, so its bound is kept near its working set.
 NEIGHBOURHOODS = 1 << 12  # strip and cover enumerators
 STANDARD_COUNTS = 1 << 14  # count_standard_strong, count_standard_weak
 WEIGHT_TABLES = 1 << 15  # weight_table below
 MATRIX_COUNTS = 1 << 16  # symfunc.count_matrices
 GAMMA_VECTORS = 1 << 10  # symfunc._gamma_vectors
 GRASSMANNIAN_LISTS = 1 << 8  # cores.grassmannians_by_length
+CORES = 1 << 10  # cores.core_of
 
 
 @dataclass(frozen=True)

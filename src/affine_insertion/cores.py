@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import AffinePermutation, reduced_word
-from .chains import GRASSMANNIAN_LISTS
+from .chains import CORES, GRASSMANNIAN_LISTS
 
 from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
@@ -216,8 +216,11 @@ def core_from_offsets(d) -> tuple[int, ...]:
     return tuple(lam)
 
 
+@lru_cache(maxsize=CORES)
 def core_of(w: AffinePermutation) -> tuple[int, ...]:
-    """The core w . (empty partition), through the offset action."""
+    """The core w . (empty partition), through the offset action; memoised
+    per element, since the tableau fillings of a batch of insertions revisit
+    the same few chain elements."""
     n = w.n
     winv = w.inverse()
     d = tuple(-((winv(i) - 1) // n) for i in range(1, n + 1))

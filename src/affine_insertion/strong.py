@@ -167,22 +167,30 @@ def chevalley_multiplicity(w: AffinePermutation, u: AffinePermutation, l: int) -
 
 @dataclass(frozen=True)
 class StrongStrip:
-    """Chain of marked strong covers with strictly increasing marks."""
+    """Chain of marked strong covers with strictly increasing marks.
+
+    The constructor checks every junction of the chain; appended and
+    prepended extend a strip that is already valid, so they check only the
+    junction they add."""
 
     inside: AffinePermutation
     covers: tuple[MarkedStrongCover, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "covers", tuple(self.covers))
-        cur = self.inside
-        prev_mark = None
-        for c in self.covers:
-            if c.inside != cur:
-                raise InvalidStrongStrip("covers do not chain")
-            if prev_mark is not None and c.mark <= prev_mark:
-                raise InvalidStrongStrip(f"marks not increasing: {prev_mark} then {c.mark}")
-            prev_mark = c.mark
-            cur = c.outside
+        covers = tuple(self.covers)
+        object.__setattr__(self, "covers", covers)
+        cur, floor = self.inside, None
+        for c in covers:
+            _check_junction(cur, floor, c)
+            cur, floor = c.outside, c.mark
+
+    @classmethod
+    def _checked(cls, inside: AffinePermutation, covers: tuple) -> StrongStrip:
+        """A strip whose every junction the caller has already checked."""
+        strip = object.__new__(cls)
+        object.__setattr__(strip, "inside", inside)
+        object.__setattr__(strip, "covers", covers)
+        return strip
 
     @property
     def outside(self) -> AffinePermutation:
@@ -201,10 +209,15 @@ class StrongStrip:
         return self.covers[-1]
 
     def appended(self, cover: MarkedStrongCover) -> StrongStrip:
-        return StrongStrip(self.inside, self.covers + (cover,))
+        _check_junction(self.outside, self.last.mark if self.covers else None, cover)
+        return self._checked(self.inside, self.covers + (cover,))
 
     def prepended(self, cover: MarkedStrongCover) -> StrongStrip:
-        return StrongStrip(cover.inside, (cover,) + self.covers)
+        if self.covers:
+            _check_junction(cover.outside, cover.mark, self.first)
+        elif cover.outside != self.inside:
+            raise InvalidStrongStrip("covers do not chain")
+        return self._checked(cover.inside, (cover,) + self.covers)
 
     def render(self) -> str:
         """Text form 'w --(i,j)@m--> u --(i',j')@m'--> x'."""
@@ -216,6 +229,15 @@ class StrongStrip:
 
     def __repr__(self):
         return f"StrongStrip({self.render()})"
+
+
+def _check_junction(below: AffinePermutation, floor: int | None, cover: MarkedStrongCover) -> None:
+    """One junction of a strong strip: the cover starts at the element below
+    it and, after a cover with mark floor, carries a larger mark."""
+    if cover.inside != below:
+        raise InvalidStrongStrip("covers do not chain")
+    if floor is not None and cover.mark <= floor:
+        raise InvalidStrongStrip(f"marks not increasing: {floor} then {cover.mark}")
 
 
 @lru_cache(maxsize=NEIGHBOURHOODS)

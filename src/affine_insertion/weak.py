@@ -101,6 +101,27 @@ def step_to(n: int, a_set: frozenset[int], x: int, pred, step: int = 1) -> int:
     raise FullSet(f"residue set {sorted(a_set)} admits no integer passing {pred.__name__}")
 
 
+def _cA_runs(n: int, a_set: frozenset[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The closed form of c_A, read off the maximal cyclic runs of A.
+
+    Returns the runs (s, k), s its lowest residue and k its length, and the
+    table of c_A(i) - i by the residue of i: k at s, whose next A-nice
+    integer is s + k + 1; -1 at s + 1, ..., s + k, which are not A-nice; and
+    0 at every other residue, where i and i + 1 are both A-nice.
+    """
+    runs = []
+    shifts = [0] * n
+    for a in a_set:
+        if (a - 1) % n not in a_set:
+            k = 1
+            while (a + k) % n in a_set:  # ends: A is proper
+                k += 1
+            runs.append((a, k))
+            shifts[a] = k
+        shifts[(a + 1) % n] = -1
+    return runs, shifts
+
+
 def apply_cA(n: int, members, i: int) -> int:
     """Evaluate c_A at i by the closed form, without building the product.
 
@@ -108,27 +129,17 @@ def apply_cA(n: int, members, i: int) -> int:
     otherwise it is i - 1.
     """
     a_set = normalize_residues(n, members)
-    if not is_nice(n, a_set, i):
-        return i - 1
-    return step_to(n, a_set, i, is_nice) - 1
+    return i + _cA_runs(n, a_set)[1][i % n]
 
 
 def cyclically_decreasing(n: int, members) -> AffinePermutation:
     """c_A = product over cyclic components [a,b] of s_b s_{b-1} ... s_a.
 
-    The window comes from the closed form of apply_cA, filled from the
-    right so that the next A-nice integer above i is always at hand.
+    The window comes from the closed form of apply_cA, one shift per residue.
     """
     a_set = normalize_residues(n, members)
-    window = [0] * n
-    next_nice = step_to(n, a_set, n, is_nice)
-    for i in range(n, 0, -1):
-        if is_nice(n, a_set, i):
-            window[i - 1] = next_nice - 1
-            next_nice = i
-        else:
-            window[i - 1] = i - 1
-    return AffinePermutation(n, window)
+    shifts = _cA_runs(n, a_set)[1]
+    return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
 
 
 def cyclically_increasing(n: int, members) -> AffinePermutation:
@@ -168,20 +179,19 @@ class WeakStrip:
 
 def weak_strip_is_valid(w: AffinePermutation, members, v: AffinePermutation) -> bool:
     """O(n) strip test: v = c_A w and, for every pair of consecutive A-nice
-    integers a < b, the position of a under w precedes those of a+1..b-1."""
+    integers a < b, the position of a under w precedes those of a+1..b-1.
+
+    The first test compares v's window with the closed form of c_A applied
+    to w's window, so no product is built.  Consecutive nice integers
+    a < b with b > a + 1 are a run (s, k) of A: a = s and b = s + k + 1.
+    """
     n = w.n
     a_set = normalize_residues(n, members)
-    if cyclically_decreasing(n, a_set) * w != v:
+    runs, shifts = _cA_runs(n, a_set)
+    if v.window != tuple([x + shifts[x % n] for x in w.window]):
         return False
-    nice = sorted(x for x in range(n) if is_nice(n, a_set, x))
-    for idx, a in enumerate(nice):
-        b = nice[idx + 1] if idx + 1 < len(nice) else nice[0] + n
-        if b == a + 1:
-            continue
-        pos_a = w.position_of(a)
-        if any(w.position_of(x) < pos_a for x in range(a + 1, b)):
-            return False
-    return True
+    pos = w.position_of
+    return all(min(map(pos, range(s + 1, s + k + 1))) > pos(s) for s, k in runs)
 
 
 def weak_strip_length_check(w: AffinePermutation, members, v: AffinePermutation) -> bool:

@@ -17,6 +17,7 @@ from affine_insertion.affperm import (
     from_window,
     identity,
     inversions,
+    simple_reflection,
 )
 from affine_insertion.cores import (
     addable_corners,
@@ -68,6 +69,7 @@ from affine_insertion.verify import (
 )
 from affine_insertion.weak import (
     WeakStrip,
+    cyclic_components,
     count_standard_weak,
     weak_strip_between,
     weak_strips_from,
@@ -423,19 +425,50 @@ def test_ac13_property_suites():
                 assert desc.n_components == len(cs)
                 assert sorted(c.mark for c in cs) == sorted(desc.mark_options)
 
-    # weak strip criterion equals brute-force length additivity
+    # weak strip criterion equals brute-force length additivity and the
+    # reference criterion built on products, for v = c_A * w and for a
+    # wrong v per (w, A)
     import itertools
 
-    for level in elements_by_length(3, 4):
-        for w in level:
-            for r in (0, 1, 2):
-                for members in itertools.combinations(range(3), r):
-                    members = frozenset(members)
-                    from affine_insertion.weak import cyclically_decreasing
-
-                    v = cyclically_decreasing(3, members) * w
-                    assert weak_strip_is_valid(w, members, v) == weak_strip_length_check(w, members, v)
+    rng = random.Random(13)
+    checks = valid = 0
+    for n, max_length in ((2, 6), (3, 6), (4, 4), (5, 3), (6, 3)):
+        for level in elements_by_length(n, max_length):
+            for w in level:
+                for r in range(n):
+                    for members in itertools.combinations(range(n), r):
+                        members = frozenset(members)
+                        v = _decreasing_product(n, members) * w
+                        wrong = v * simple_reflection(n, rng.randrange(n))
+                        for x in (v, wrong):
+                            expected = weak_strip_length_check(w, members, x)
+                            assert weak_strip_is_valid(w, members, x) == expected, (w, members, x)
+                            assert _weak_strip_test_by_products(w, members, x) == expected
+                            checks += 1
+                            valid += expected
+    assert 0 < valid < checks  # 5,054 of 17,100
     done(13, "order and tableau property suites and oracle equivalences")
+
+
+def _decreasing_product(n, members):
+    """c_A as the product s_b ... s_a over the cyclic components [a, b] of A."""
+    word = []
+    for a, b in cyclic_components(n, members):
+        word += reversed([(a + k) % n for k in range((b - a) % n + 1)])
+    return from_reduced_word(n, word)
+
+
+def _weak_strip_test_by_products(w, members, v):
+    """Reference strip test: v = c_A * w as a product, then for every pair of
+    consecutive A-nice integers a < b, w^{-1}(a) precedes w^{-1}(a+1..b-1)."""
+    n = w.n
+    if _decreasing_product(n, members) * w != v:
+        return False
+    nice = [x for x in range(n) if (x - 1) % n not in members]
+    for a, b in zip(nice, nice[1:] + [nice[0] + n]):
+        if any(w.position_of(x) < w.position_of(a) for x in range(a + 1, b)):
+            return False
+    return True
 
 
 def _horizontal(lam, mu):

@@ -135,6 +135,47 @@ def test_transposition_conjugation():
         assert right_mult_transposition(w, i, j) == w * transposition(n, i, j)
 
 
+def _loop_right_mult_transposition(w, i, j):
+    """Reference w * t_{ij}: evaluate w on every position of the window."""
+    n = w.n
+    window = []
+    for x in range(1, n + 1):
+        if (x - i) % n == 0:
+            window.append(w(j + (x - i)))
+        elif (x - j) % n == 0:
+            window.append(w(i + (x - j)))
+        else:
+            window.append(w(x))
+    return window
+
+
+def _small_elements():
+    for n in range(2, 9):
+        for level in elements_by_length(n, 5 if n <= 5 else 3):
+            yield from level
+
+
+def test_window_kernels_equal_loop_versions():
+    # the closed-form kernels against evaluation through w(.), on every
+    # element of length <= 5 (n = 2..5) and <= 3 (n = 6..8), with random
+    # (i, j) of distinct and of equal residue
+    rng = random.Random(16)
+    elements = list(_small_elements())
+    for w in elements:
+        n = w.n
+        pairs = [(rng.randrange(-3 * n, 3 * n), rng.randrange(-3 * n, 3 * n)) for _ in range(4)]
+        i = rng.randrange(-3 * n, 3 * n)
+        pairs.append((i, i + n * rng.randrange(-2, 3)))
+        for i, j in pairs:
+            got = right_mult_transposition(w, i, j)
+            assert list(got.window) == _loop_right_mult_transposition(w, i, j), (w, i, j)
+        u = rng.choice([x for x in elements if x.n == n])
+        assert (w * u).window == tuple(w(v) for v in u.window)
+        for l in (0, n, -2 * n):
+            vals = [w(l + m) for m in range(1, n + 1)]
+            assert w.is_grassmannian(l) == all(a < b for a, b in zip(vals, vals[1:]))
+
+
 def test_grassmannian_test():
     assert identity(4).is_grassmannian(0)
     assert identity(4).is_grassmannian(2)

@@ -13,7 +13,7 @@ import affine_insertion
 from affine_insertion import affperm, clear_caches
 from affine_insertion.affperm import elements_by_length
 from affine_insertion.chains import weight_table
-from affine_insertion.cores import grassmannians_by_length
+from affine_insertion.cores import core_of, grassmannians_by_length
 from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
 from affine_insertion.symfunc import count_matrices, k_schur, pieri_checks
 from affine_insertion.weak import count_standard_weak, dual_weak_strips_from, weak_strips_from
@@ -36,6 +36,19 @@ def test_cached_enumerators_equal_their_bodies(n):
                 assert enum(*args) is got  # a second call is served by the memo
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_core_of_memo_equals_its_body(n):
+    clear_caches()
+    elements = [w for level in elements_by_length(n, 6) for w in level]
+    for w in elements:
+        got = core_of(w)
+        assert got == core_of.__wrapped__(w), w
+        assert core_of(w) is got  # a second call is served by the memo
+    assert core_of.cache_info().currsize == len(elements)
+    clear_caches()
+    assert core_of.cache_info().currsize == 0
+
+
 def _package_memos():
     found = {}
     for name, mod in sorted(sys.modules.items()):
@@ -56,6 +69,7 @@ def test_clear_caches_empties_every_memo():
     count_matrices((2, 1), (1, 1, 1))
     count_standard_strong(w, 0)
     count_standard_weak(w)
+    core_of(w)
     assert all(m.cache_info().currsize > 0 for m in memos), [m.__name__ for m in memos if not m.cache_info().currsize]
     assert affperm._length_cache
     clear_caches()

@@ -158,6 +158,41 @@ def test_strip_validation():
         MarkedStrongCover(identity(3), 1, 2, simple_reflection(3, 1), 0)  # not straddling
 
 
+def test_grown_strips_check_their_new_junction():
+    # appended and prepended check the junction they add: a planted cover
+    # that does not chain, or whose mark is out of order, raises; a valid
+    # one gives the strip the constructor builds from the same covers
+    planted = Counter()
+    for level in elements_by_length(3, 3):
+        for w in level:
+            for c1 in marked_covers_above(w, 0):
+                lower = StrongStrip(w, (c1,))
+                for c2 in marked_covers_above(c1.outside, 0):
+                    upper = StrongStrip(c1.outside, (c2,))
+                    if c2.mark > c1.mark:
+                        built = StrongStrip(w, (c1, c2))
+                        from_empty = StrongStrip(w, ()).appended(c1).appended(c2)
+                        for grown in (lower.appended(c2), upper.prepended(c1), from_empty):
+                            assert grown == built and hash(grown) == hash(built)
+                            assert type(grown.covers) is tuple
+                        continue
+                    planted["mark"] += 1
+                    with pytest.raises(InvalidStrongStrip, match="marks"):
+                        lower.appended(c2)
+                    with pytest.raises(InvalidStrongStrip, match="marks"):
+                        upper.prepended(c1)
+                for c in marked_covers_above(w, 0):  # starts at w, ends above it
+                    planted["chain"] += 1
+                    empty_above, empty_at_w = StrongStrip(c1.outside, ()), StrongStrip(w, ())
+                    for grow in (lower.appended, empty_above.appended, lower.prepended, empty_at_w.prepended):
+                        with pytest.raises(InvalidStrongStrip, match="chain"):
+                            grow(c)
+    assert planted["mark"] > 0 and planted["chain"] > 0
+    # the enumerated strips, grown by appended, equal their constructor copies
+    strips = [s for w in elements_by_length(3, 2)[2] for s in strong_strips_from(w, 2, 0)]
+    assert strips and all(StrongStrip(s.inside, list(s.covers)) == s for s in strips)
+
+
 def test_strips_ending_at_inverts_strips_from():
     for level in elements_by_length(3, 3):
         for w in level:
