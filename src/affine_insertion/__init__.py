@@ -8,6 +8,8 @@ n-core / bounded-partition dictionary, and a degree-truncated symmetric
 function layer reproducing the Cauchy and Pieri identities at desk scale.
 """
 
+import sys
+
 from .affperm import (
     AffinePermutation,
     code,
@@ -111,30 +113,20 @@ from .symfunc import (
     weak_schur,
 )
 
-from . import affperm, chains, cores, strong, symfunc, weak
-
 __version__ = "0.1.0"
 
-# Every memo in the package, taken before anything can rebind the names.
-_CACHES = (
-    strong.marked_covers_above,
-    strong.strong_strips_from,
-    weak.weak_strips_from,
-    weak.dual_weak_strips_from,
-    chains.weight_table,
-    symfunc._gamma_vectors,
-    symfunc.count_matrices,
-    strong.count_standard_strong,
-    weak.count_standard_weak,
-    cores.grassmannians_by_length,
-    cores.core_of,
+# Every memo in the package: each submodule attribute with a cache_info,
+# found once at import, before a tracer can rebind the names.
+_CACHES = frozenset(
+    value
+    for name, module in sys.modules.items()
+    if name.startswith(__name__ + ".")
+    for value in vars(module).values()
+    if hasattr(value, "cache_info")
 )
 
 
 def clear_caches() -> None:
-    """Empty every memo: the strip and cover enumerators, the tableau and
-    matrix counts, the Grassmannian lists, the cores and the Coxeter-length
-    table."""
+    """Empty every memo of the package."""
     for memo in _CACHES:
         memo.cache_clear()
-    affperm._length_cache.clear()

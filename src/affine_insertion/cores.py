@@ -15,9 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import AffinePermutation, reduced_word
-from .chains import CORES, GRASSMANNIAN_LISTS
-
+from .affperm import MEMO_SIZE, AffinePermutation, reduced_word
 from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
 
@@ -216,7 +214,7 @@ def core_from_offsets(d) -> tuple[int, ...]:
     return tuple(lam)
 
 
-@lru_cache(maxsize=CORES)
+@lru_cache(maxsize=MEMO_SIZE)
 def core_of(w: AffinePermutation) -> tuple[int, ...]:
     """The core w . (empty partition), through the offset action; memoised
     per element, since the tableau fillings of a batch of insertions revisit
@@ -301,7 +299,7 @@ def partitions(total: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=GRASSMANNIAN_LISTS)
+@lru_cache(maxsize=MEMO_SIZE)
 def grassmannians_by_length(n: int, length: int) -> tuple[AffinePermutation, ...]:
     """All 0-Grassmannian elements of the given length, via bounded partitions."""
     return tuple(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .affperm import AffinePermutation, right_mult_transposition
 from .strong import MarkedStrongCover, StrongStrip
-from .weak import WeakStrip, cyclically_decreasing, is_bad, is_nice, step_to
+from .weak import WeakStrip, cyclically_decreasing, cyclically_increasing, is_bad, is_nice, step_to
 
 __all__ = [
     "CaseTag",
@@ -137,8 +137,12 @@ def commutes_final(weak: WeakStrip, cover: MarkedStrongCover) -> bool:
     return u(cover.i) > u(cover.j)
 
 
-def _window_positions(l: int, n: int):
-    return range(l - n + 1, l + 1)
+def _low_window(perm: AffinePermutation, l: int) -> list[int]:
+    """The values perm(m) at the n positions m in (l - n, l], read off the
+    stored window shifted by multiples of n."""
+    n, win = perm.n, perm.window
+    q, r = divmod(l, n)
+    return [x + (q - 1) * n for x in win[r:]] + [x + q * n for x in win[:r]]
 
 
 def _largest_below(value: int, bound: int, n: int) -> int:
@@ -163,8 +167,7 @@ def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: in
     """
     n = perm.n
     best = None
-    for m in _window_positions(l, n):
-        q = perm(m)
+    for q in _low_window(perm, l):
         if bound is not None:
             q = _largest_below(q, bound, n)
         if pred(n, a_set, q) and (best is None or q > best):
@@ -180,8 +183,8 @@ def _min_nice_above_at_low_position(perm: AffinePermutation, a_set, l: int, boun
     """Smallest A-nice q > bound with perm^{-1}(q) <= l, or None (condition B)."""
     n = perm.n
     best = None
-    for m in _window_positions(l, n):
-        q = _smallest_above(perm(m), bound, n)
+    for value in _low_window(perm, l):
+        q = _smallest_above(value, bound, n)
         if q is not None and is_nice(n, a_set, q) and (best is None or q < best):
             best = q
     return best
@@ -306,7 +309,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
 
     if commutes_final(weak, cover):
         # Case RA
-        w = cyclically_decreasing(n, a_set).inverse() * v
+        w = cyclically_increasing(n, a_set) * v
         new_cover = MarkedStrongCover(w, a, b, u, l)
         return InitialPair(WeakStrip(w, a_set, v), s1.prepended(new_cover)), CaseTag.RA
 
@@ -333,7 +336,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
         i, j = u.position_of(q), u.position_of(p)
-        w = cyclically_decreasing(n, a_new).inverse() * v
+        w = cyclically_increasing(n, a_new) * v
         new_cover = MarkedStrongCover(w, i, j, u, l)
         return InitialPair(WeakStrip(w, a_new, v), s1.prepended(new_cover)), CaseTag.RB
 
@@ -346,7 +349,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         z = s1.first.outside
         j_plus = z.position_of(p)
         u_prime = right_mult_transposition(z, i1, j_plus)
-        w = cyclically_decreasing(n, a_new).inverse() * v
+        w = cyclically_increasing(n, a_new) * v
         spliced = StrongStrip(
             w,
             (MarkedStrongCover(w, i1, j1, u_prime, l), MarkedStrongCover(u_prime, i1, j_plus, z, l))

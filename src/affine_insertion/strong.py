@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import AffinePermutation, canonical_reflection, right_mult_transposition
-from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains, weight_table
+from .affperm import MEMO_SIZE, AffinePermutation, canonical_reflection, right_mult_transposition
+from .chains import StripChain, count_chains, walk_chains, weight_table
 
 __all__ = [
     "NotACover",
@@ -125,7 +125,7 @@ def _cover_candidates(w: AffinePermutation, i: int, upward: bool):
     return cands
 
 
-@lru_cache(maxsize=NEIGHBOURHOODS)
+@lru_cache(maxsize=MEMO_SIZE)
 def marked_covers_above(w: AffinePermutation, l: int) -> tuple[MarkedStrongCover, ...]:
     """Every marked strong cover with the given inside, sorted by (mark, i);
     memoised per (w, l)."""
@@ -240,7 +240,7 @@ def _check_junction(below: AffinePermutation, floor: int | None, cover: MarkedSt
         raise InvalidStrongStrip(f"marks not increasing: {floor} then {cover.mark}")
 
 
-@lru_cache(maxsize=NEIGHBOURHOODS)
+@lru_cache(maxsize=MEMO_SIZE)
 def strong_strips_from(w: AffinePermutation, r: int, l: int) -> tuple[StrongStrip, ...]:
     """All strong strips of size r with the given inside; memoised per (w, r, l)."""
     if r < 0:
@@ -299,7 +299,7 @@ def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l
     return weight_table(strong_strips_from, (l,), inside, outside, None)
 
 
-@lru_cache(maxsize=STANDARD_COUNTS)
+@lru_cache(maxsize=MEMO_SIZE)
 def count_standard_strong(w: AffinePermutation, l: int) -> int:
     """Number of standard strong tableaux of shape w (all strips of size 1)."""
     if w.is_identity:

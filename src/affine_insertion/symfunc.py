@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import AffinePermutation, identity
-from .chains import GAMMA_VECTORS, MATRIX_COUNTS, walk_chains
+from .affperm import MEMO_SIZE, AffinePermutation, identity
+from .chains import walk_chains
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_tableau
 from .strong import StrongTableau, count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import (
@@ -79,7 +79,7 @@ def compositions(total: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=MATRIX_COUNTS)
+@lru_cache(maxsize=MEMO_SIZE)
 def count_matrices(rows: tuple[int, ...], cols: tuple[int, ...]) -> int:
     """Nonnegative integer matrices with the given row and column sums.
 
@@ -219,7 +219,7 @@ def _product_coefficient(g: SymPolynomial, f, alpha: tuple[int, ...]) -> int:
     return total
 
 
-@lru_cache(maxsize=GAMMA_VECTORS)
+@lru_cache(maxsize=MEMO_SIZE)
 def _gamma_vectors(caps: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
     """The vectors of _bounded_vectors(caps, d), memoised per (caps, d)."""
     return tuple(_bounded_vectors(caps, d))

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import AffinePermutation, simple_reflection
-from .chains import NEIGHBOURHOODS, STANDARD_COUNTS, StripChain, count_chains, walk_chains, weight_table
+from .affperm import MEMO_SIZE, AffinePermutation, simple_reflection
+from .chains import StripChain, count_chains, walk_chains, weight_table
 
 __all__ = [
     "FullSet",
@@ -146,9 +146,15 @@ def cyclically_increasing(n: int, members) -> AffinePermutation:
     """Same product with each interval taken in increasing order.
 
     Components are separated by a missing residue, so their factors
-    commute and the increasing product is the inverse of c_A.
+    commute and the increasing product is the inverse of c_A.  Its window
+    comes from the runs (s, k) of _cA_runs: c_A^{-1}(i) - i is +1 at
+    s, ..., s + k - 1 (the members of A), -k at s + k and 0 elsewhere.
     """
-    return cyclically_decreasing(n, members).inverse()
+    a_set = normalize_residues(n, members)
+    shifts = [1 if a in a_set else 0 for a in range(n)]
+    for s, k in _cA_runs(n, a_set)[0]:
+        shifts[(s + k) % n] = -k
+    return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)
@@ -202,27 +208,14 @@ def weak_strip_length_check(w: AffinePermutation, members, v: AffinePermutation)
 
 
 def weak_strip_between(w: AffinePermutation, v: AffinePermutation) -> WeakStrip | None:
-    """The weak strip from w to v if one exists, else None."""
-    from .affperm import reduced_word
-
-    n = w.n
-    if v.n != n:
-        return None
-    r = v.length - w.length
-    if r == 0:
-        return WeakStrip(w, frozenset(), v) if w == v else None
-    if r < 0 or r >= n:
+    """The weak strip from w to v if one exists, else None.  A strip has
+    v = c_A * w, and a is in A exactly when c_A(a + 1) = a: so A is read off
+    c = v * w^{-1}, and the strip test decides."""
+    if v.n != w.n:
         return None
     c = v * w.inverse()
-    word = reduced_word(c)
-    if len(word) != r:
-        return None
-    members = frozenset(word)
-    if len(members) != r:
-        return None
-    if cyclically_decreasing(n, members) != c:
-        return None
-    return WeakStrip(w, members, v)
+    members = frozenset(a for a, x in enumerate(c.window) if x == a)
+    return WeakStrip(w, members, v) if weak_strip_is_valid(w, members, v) else None
 
 
 def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> tuple:
@@ -242,7 +235,7 @@ def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=NEIGHBOURHOODS)
+@lru_cache(maxsize=MEMO_SIZE)
 def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
     """All weak strips of size r with the given inside; memoised per (w, r)."""
     return _strips_from(w, r, cyclically_decreasing, WeakStrip)
@@ -271,7 +264,7 @@ class DualWeakStrip:
         return len(self.residues)
 
 
-@lru_cache(maxsize=NEIGHBOURHOODS)
+@lru_cache(maxsize=MEMO_SIZE)
 def dual_weak_strips_from(w: AffinePermutation, r: int) -> tuple[DualWeakStrip, ...]:
     """All dual weak strips of size r with the given inside; memoised per (w, r)."""
     return _strips_from(w, r, cyclically_increasing, DualWeakStrip)
@@ -307,7 +300,7 @@ def weak_weight_table(inside: AffinePermutation, outside: AffinePermutation) -> 
     return weight_table(weak_strips_from, (), inside, outside, inside.n - 1)
 
 
-@lru_cache(maxsize=STANDARD_COUNTS)
+@lru_cache(maxsize=MEMO_SIZE)
 def count_standard_weak(w: AffinePermutation) -> int:
     """Number of standard weak tableaux of shape w, i.e. reduced words of w."""
     if w.is_identity:

@@ -199,6 +199,23 @@ def test_dynkin_flip():
             assert dynkin_flip(flipped) == w
 
 
+def _reduced_word_flip(w, l):
+    # the definition: send each letter s_a of a reduced word to s_{l-a}
+    return from_reduced_word(w.n, [(l - a) % w.n for a in reduced_word(w)])
+
+
+def test_dynkin_flip_equals_reduced_word_flip():
+    # conjugation by x -> l + 1 - x against the definition, on every element
+    # of length <= 5 (n = 2..4) and <= 4 (n = 5), with l in [-n, 2n)
+    cases = 0
+    for n, max_length in ((2, 5), (3, 5), (4, 5), (5, 4)):
+        for w in (w for level in elements_by_length(n, max_length) for w in level):
+            for l in range(-n, 2 * n):
+                assert dynkin_flip(w, l) == _reduced_word_flip(w, l), (w, l)
+                cases += 1
+    assert cases == 3822
+
+
 def test_rotate():
     assert rotate(identity(3)).is_identity
     assert rotate(simple_reflection(3, 0)) == simple_reflection(3, 1)

@@ -1,6 +1,6 @@
 """The package's memos: cached enumerators agree with their bodies, every
-memo is registered with clear_caches, and a k-Schur expansion computes each
-neighbourhood once."""
+memo is found by clear_caches and bounded by MEMO_SIZE, and a k-Schur
+expansion computes each neighbourhood once."""
 
 import hashlib
 import json
@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import affine_insertion
+import affine_insertion.cli  # noqa: F401  (loads the remaining submodules for _package_memos)
 from affine_insertion import affperm, clear_caches
-from affine_insertion.affperm import elements_by_length
+from affine_insertion.affperm import MEMO_SIZE, elements_by_length
 from affine_insertion.chains import weight_table
 from affine_insertion.cores import core_of, grassmannians_by_length
 from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
@@ -59,10 +60,32 @@ def _package_memos():
     return list(found.values())
 
 
+MEMOS = {
+    "affperm._length",
+    "chains.weight_table",
+    "cores.core_of",
+    "cores.grassmannians_by_length",
+    "strong.count_standard_strong",
+    "strong.marked_covers_above",
+    "strong.strong_strips_from",
+    "symfunc._gamma_vectors",
+    "symfunc.count_matrices",
+    "weak.count_standard_weak",
+    "weak.dual_weak_strips_from",
+    "weak.weak_strips_from",
+}
+
+
+def _name(memo):
+    return memo.__module__.removeprefix("affine_insertion.") + "." + memo.__name__
+
+
 def test_clear_caches_empties_every_memo():
     memos = _package_memos()
-    # a memo that clear_caches does not know of fails here
-    assert {id(m) for m in memos} == {id(m) for m in affine_insertion._CACHES}
+    # a memo added or lost, or one that clear_caches does not find, fails here
+    assert {_name(m) for m in memos} == MEMOS
+    assert {_name(m) for m in affine_insertion._CACHES} == MEMOS
+    assert {m.cache_info().maxsize for m in memos} == {MEMO_SIZE}
     w = elements_by_length(3, 3)[3][0]
     k_schur((2, 1), 3)
     pieri_checks(3, 0, grassmannians_by_length(3, 2)[0], 1)
@@ -71,10 +94,10 @@ def test_clear_caches_empties_every_memo():
     count_standard_weak(w)
     core_of(w)
     assert all(m.cache_info().currsize > 0 for m in memos), [m.__name__ for m in memos if not m.cache_info().currsize]
-    assert affperm._length_cache
+    assert affperm._length.cache_info().currsize > 0
     clear_caches()
     assert [m.__name__ for m in memos if m.cache_info().currsize] == []
-    assert not affperm._length_cache
+    assert affperm._length.cache_info().currsize == 0
 
 
 def test_kschur_computes_each_neighbourhood_once():

@@ -8,6 +8,7 @@ from affine_insertion.affperm import (
     from_reduced_word,
     from_window,
     identity,
+    reduced_word,
     simple_reflection,
 )
 from affine_insertion.weak import (
@@ -182,6 +183,43 @@ def test_cyclically_increasing():
     assert c.length == 2
     for n, members in _proper_subsets(6):
         assert cyclically_increasing(n, members) == _component_product(n, members, decreasing=False)
+
+
+def test_cyclically_increasing_is_the_inverse_of_c_A():
+    # the run-by-run closed form against inverting c_A, on all 501 proper A
+    # at n = 2..8
+    subsets = list(_proper_subsets(8))
+    assert len(subsets) == 501
+    for n, members in subsets:
+        assert cyclically_increasing(n, members) == cyclically_decreasing(n, members).inverse(), (n, members)
+
+
+def _reduced_word_strip_between(w, v):
+    # through a reduced word of c = v w^{-1}: c must be c_A for the set A of
+    # its letters, with |A| = l(v) - l(w) distinct letters
+    n = w.n
+    r = v.length - w.length
+    if r == 0:
+        return WeakStrip(w, frozenset(), v) if w == v else None
+    if r < 0 or r >= n:
+        return None
+    c = v * w.inverse()
+    word = reduced_word(c)
+    members = frozenset(word)
+    if len(word) != r or len(members) != r or cyclically_decreasing(n, members) != c:
+        return None
+    return WeakStrip(w, members, v)
+
+
+def test_weak_strip_between_equals_reduced_word_version():
+    # every pair (w, v) of length <= 4 at n = 3 and 4
+    pairs = 0
+    for n in (3, 4):
+        elements = [w for level in elements_by_length(n, 4) for w in level]
+        for w, v in itertools.product(elements, repeat=2):
+            assert weak_strip_between(w, v) == _reduced_word_strip_between(w, v), (w, v)
+            pairs += 1
+    assert pairs == 5722
 
 
 def test_weak_tableaux_enumeration():
