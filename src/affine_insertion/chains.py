@@ -46,21 +46,15 @@ class StripChain:
         return tuple(s.size for s in self.strips)
 
 
-def walk_chains(tableau, strips_from, extra, inside, outside, weight=None, max_size=None):
-    """Yield the tableaux of shape outside/inside depth first, smaller strips
-    first.  With a weight, only those of exactly that weight; otherwise all
-    with strip sizes 1..max_size (unbounded when None)."""
+def walk_chains(tableau, strips_from, extra, inside, outside, max_size=None):
+    """Yield the tableaux of shape outside/inside with strip sizes
+    1..max_size (unbounded when None), depth first, smaller strips first."""
 
     def walk(chain, cur):
-        depth = len(chain)
-        if (weight is None or depth == len(weight)) and cur == outside:
+        if cur == outside:
             yield tableau(inside, chain)
-        if weight is not None:
-            sizes = weight[depth : depth + 1]
-        else:
-            budget = outside.length - cur.length
-            sizes = range(1, (budget if max_size is None else min(max_size, budget)) + 1)
-        for r in sizes:
+        budget = outside.length - cur.length
+        for r in range(1, (budget if max_size is None else min(max_size, budget)) + 1):
             for strip in strips_from(cur, r, *extra):
                 yield from walk(chain + (strip,), strip.outside)
 
@@ -76,19 +70,33 @@ def count_chains(strips_from, extra, inside, outside, weight, max_size=None) -> 
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def weight_table(strips_from, extra, inside, outside, max_size) -> dict[tuple[int, ...], int]:
+def weight_table(strips_from, extra, inside, outside, max_size, grade=None) -> dict:
     """Number of tableaux of shape outside/inside per positive weight
     composition, with strip sizes 1..max_size (unbounded when None); only
-    nonzero counts are keys.  Each shape is computed once, from the tables of
-    the outsides of its first strips.  The dict is the memo's own: callers
-    copy it rather than change it."""
+    nonzero counts are keys.  With a grade, a function from a strip to an
+    int, the keys are (composition, total grade) pairs instead: the grade of
+    a tableau is the sum over its strips.  Each shape is computed once, from
+    the tables of the outsides of its first strips.  The dict is the memo's
+    own: callers copy it rather than change it."""
     budget = outside.length - inside.length
     if budget <= 0:
-        return {(): 1} if inside == outside else {}
-    table: dict[tuple[int, ...], int] = {}
-    for r in range(1, (budget if max_size is None else min(max_size, budget)) + 1):
-        for strip in strips_from(inside, r, *extra):
-            for comp, c in weight_table(strips_from, extra, strip.outside, outside, max_size).items():
-                key = (r,) + comp
-                table[key] = table.get(key, 0) + c
+        return {() if grade is None else ((), 0): 1} if inside == outside else {}
+    table: dict = {}
+    sizes = range(1, (budget if max_size is None else min(max_size, budget)) + 1)
+    # graded or not is decided once per table: the ungraded loop, which the
+    # counting checks run in bulk, does no per-strip work for the grading
+    if grade is None:
+        for r in sizes:
+            for strip in strips_from(inside, r, *extra):
+                for comp, c in weight_table(strips_from, extra, strip.outside, outside, max_size).items():
+                    key = (r,) + comp
+                    table[key] = table.get(key, 0) + c
+    else:
+        for r in sizes:
+            for strip in strips_from(inside, r, *extra):
+                rest = weight_table(strips_from, extra, strip.outside, outside, max_size, grade)
+                g = grade(strip) if rest else 0  # only strips that lie on a tableau are graded
+                for (comp, total), c in rest.items():
+                    key = ((r,) + comp, total + g)
+                    table[key] = table.get(key, 0) + c
     return table

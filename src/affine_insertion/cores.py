@@ -48,6 +48,7 @@ __all__ = [
     "strong_cover_cores",
     "spin_of_marked_cover",
     "spin_tableau",
+    "spin_strip",
     "weak_tableau_filling",
     "strong_tableau_filling",
     "render_weak_tableau",
@@ -416,6 +417,13 @@ def spin_of_marked_cover(mu, lam, n: int, mark: int) -> int:
     The marked ribbon is the one whose head lies on diagonal mark - 1;
     ribbons are counted from the top, i.e. ascending head diagonal.
     """
+    return _spin_of_cover(check_partition(mu), check_partition(lam), n, mark)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _spin_of_cover(mu: tuple[int, ...], lam: tuple[int, ...], n: int, mark: int) -> int:
+    """spin_of_marked_cover on partitions already normalised to tuples;
+    memoised, so each cover is described and cross-checked once."""
     desc = strong_cover_cores(mu, lam, n)
     if mark - 1 not in desc.head_diagonals:
         raise NotACover(f"no ribbon head on diagonal {mark - 1}")
@@ -440,6 +448,13 @@ def spin_tableau(t: StrongTableau) -> int:
         spin_of_marked_cover(mu, lam, t.inside.n, cover.mark)
         for cover, mu, lam in zip(covers, chain, chain[1:])
     )
+
+
+def spin_strip(strip) -> int:
+    """Total spin of one strong strip over a Grassmannian chain: the spin of
+    the one-strip tableau it forms.  Spin is a sum over covers, so the spin
+    of a tableau is the sum of the spins of its strips."""
+    return spin_tableau(StrongTableau(strip.inside, (strip,)))
 
 
 def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import MEMO_SIZE, AffinePermutation, identity
-from .chains import walk_chains
-from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_tableau
-from .strong import StrongTableau, count_strong_tableaux, strong_strips_from, strong_weight_table
+from .chains import weight_table
+from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_strip
+from .strong import count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import (
     count_weak_tableaux,
     dual_weak_strips_from,
@@ -313,13 +313,10 @@ class SpinPolynomial:
 def k_schur_spin(b, n: int) -> SpinPolynomial:
     """Spin-graded monomial expansion: strong tableaux graded by spin."""
     u, e = _grassmannian_from_bounded(b, n), identity(n)
-    d = u.length
-    out: dict[tuple[tuple[int, ...], int], int] = {}
-    for lam in partitions(d):
-        for t in walk_chains(StrongTableau, strong_strips_from, (0,), e, u, weight=lam):
-            key = (lam, spin_tableau(t))
-            out[key] = out.get(key, 0) + 1
-    return SpinPolynomial(d, out)
+    table = weight_table(strong_strips_from, (0,), e, u, None, spin_strip)
+    return SpinPolynomial(
+        u.length, {(lam, spin): c for (lam, spin), c in table.items() if tuple(sorted(lam, reverse=True)) == lam}
+    )
 
 
 @dataclass(frozen=True)

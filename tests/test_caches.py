@@ -14,9 +14,15 @@ import affine_insertion.cli  # noqa: F401  (loads the remaining submodules for _
 from affine_insertion import affperm, clear_caches
 from affine_insertion.affperm import MEMO_SIZE, elements_by_length
 from affine_insertion.chains import weight_table
-from affine_insertion.cores import core_of, grassmannians_by_length
+from affine_insertion.cores import (
+    NotACover,
+    _spin_of_cover,
+    core_of,
+    grassmannians_by_length,
+    spin_of_marked_cover,
+)
 from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
-from affine_insertion.symfunc import count_matrices, k_schur, pieri_checks
+from affine_insertion.symfunc import count_matrices, k_schur, k_schur_spin, pieri_checks
 from affine_insertion.weak import count_standard_weak, dual_weak_strips_from, weak_strips_from
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "kschur_digests.json"
@@ -50,6 +56,31 @@ def test_core_of_memo_equals_its_body(n):
     assert core_of.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_cover_spin_memo_equals_its_body(n):
+    clear_caches()
+    covers = [
+        (core_of(w), core_of(c.outside), n, c.mark)
+        for d in range(5)
+        for w in grassmannians_by_length(n, d)
+        for c in marked_covers_above(w, 0)
+        if c.outside.is_grassmannian(0)
+    ]
+    assert covers
+    for args in covers:
+        got = _spin_of_cover(*args)
+        assert got == _spin_of_cover.__wrapped__(*args), args
+        assert spin_of_marked_cover(*args) == got
+    assert _spin_of_cover.cache_info().currsize == len(set(covers))
+
+
+def test_spin_of_marked_cover_takes_lists_and_caches_no_error():
+    assert spin_of_marked_cover([2], [2, 1, 1], 3, 0) == spin_of_marked_cover((2,), (2, 1, 1), 3, 0) == 1
+    for _ in range(2):  # the failure is raised again, not served from the memo
+        with pytest.raises(NotACover):
+            spin_of_marked_cover([1], [3, 1], 3, 0)
+
+
 def _package_memos():
     found = {}
     for name, mod in sorted(sys.modules.items()):
@@ -63,6 +94,7 @@ def _package_memos():
 MEMOS = {
     "affperm._length",
     "chains.weight_table",
+    "cores._spin_of_cover",
     "cores.core_of",
     "cores.grassmannians_by_length",
     "strong.count_standard_strong",
@@ -88,6 +120,7 @@ def test_clear_caches_empties_every_memo():
     assert {m.cache_info().maxsize for m in memos} == {MEMO_SIZE}
     w = elements_by_length(3, 3)[3][0]
     k_schur((2, 1), 3)
+    k_schur_spin((2, 1), 3)
     pieri_checks(3, 0, grassmannians_by_length(3, 2)[0], 1)
     count_matrices((2, 1), (1, 1, 1))
     count_standard_strong(w, 0)

@@ -96,6 +96,18 @@ def test_kschur(capsys):
     assert json.loads(out)["(2,2)|0"] == 1
 
 
+def test_kschur_spin_at_degree_11_sums_to_plain(capsys):
+    rc, out = run(capsys, "kschur", "--n", "4", "--shape", "(3,3,2,2,1)", "--spin")
+    assert rc == 0
+    collapsed = {}
+    for key, c in json.loads(out).items():
+        lam, _spin = key.split("|")
+        collapsed[lam] = collapsed.get(lam, 0) + c
+    rc, out = run(capsys, "kschur", "--n", "4", "--shape", "(3,3,2,2,1)")
+    assert rc == 0
+    assert collapsed == json.loads(out)
+
+
 def test_cauchy_and_pieri_commands(capsys):
     rc, out = run(capsys, "cauchy", "--n", "2", "--dx", "2", "--vy", "2")
     assert rc == 0 and "PASS" in out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_insertion import symfunc
+from affine_insertion import clear_caches, symfunc
 from affine_insertion.affperm import (
     AffinePermutation,
     dynkin_flip,
@@ -12,17 +12,23 @@ from affine_insertion.affperm import (
     identity,
     rotate,
 )
+from affine_insertion.chains import weight_table
 from affine_insertion.cores import (
+    _spin_of_cover,
     conjugate,
     core_of_bounded,
     grassmannian_of,
     grassmannians_by_length,
     k_conjugate,
     partitions,
+    spin_strip,
+    spin_tableau,
 )
+from affine_insertion.strong import StrongTableau, strong_strips_from, strong_weight_table
 from affine_insertion.symfunc import (
     NotSymmetric,
     SingularSystem,
+    SpinPolynomial,
     SymPolynomial,
     WeightPolynomial,
     cauchy_check,
@@ -199,6 +205,56 @@ def test_k_schur_spin_has_t2_term():
     # the worked strong tableau of spin 2 contributes to its shape
     sp = k_schur_spin((2, 2, 1), 3)
     assert any(spin == 2 and c for (lam, spin), c in sp.coeffs.items())
+
+
+def _walking_k_schur_spin(b, n):
+    """k_schur_spin by walking: every strong tableau of each partition
+    weight, built strip by strip and graded by spin_tableau."""
+    u, e = symfunc._grassmannian_from_bounded(b, n), identity(n)
+
+    def walk(chain, cur, weight):
+        if not weight:
+            if cur == u:
+                yield StrongTableau(e, chain)
+            return
+        for strip in strong_strips_from(cur, weight[0], 0):
+            yield from walk(chain + (strip,), strip.outside, weight[1:])
+
+    out = {}
+    for lam in partitions(u.length):
+        for t in walk((), e, lam):
+            key = (lam, spin_tableau(t))
+            out[key] = out.get(key, 0) + 1
+    return SpinPolynomial(u.length, out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_k_schur_spin_equals_the_walk(n):
+    shapes = [b for d in range(9) for b in partitions(d, n - 1)]
+    assert len(shapes) == {3: 25, 4: 41}[n]
+    for b in shapes:
+        assert k_schur_spin(b, n) == _walking_k_schur_spin(b, n), b
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_spin_table_collapses_to_the_weight_table(n):
+    e = identity(n)
+    for d in range(8):
+        for u in grassmannians_by_length(n, d):
+            graded = weight_table(strong_strips_from, (0,), e, u, None, spin_strip)
+            collapsed = {}
+            for (comp, _spin), c in graded.items():
+                collapsed[comp] = collapsed.get(comp, 0) + c
+            assert collapsed == strong_weight_table(e, u, 0), u
+
+
+def test_k_schur_spin_at_degree_11_computes_each_cover_spin_once():
+    clear_caches()
+    sp = k_schur_spin((3, 3, 2, 2, 1), 4)
+    assert sp.collapse() == k_schur((3, 3, 2, 2, 1), 4)
+    assert all(spin >= 0 for (_, spin) in sp.coeffs)
+    info = _spin_of_cover.cache_info()
+    assert info.misses == info.currsize > 0
 
 
 def test_pieri_printed_example():
