@@ -13,6 +13,7 @@ exact power-series equality and needs no symmetry assumption.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -174,10 +175,7 @@ class SymPolynomial:
 
     def __mul__(self, other: SymPolynomial) -> SymPolynomial:
         """Product read off partition by partition: [m_lam] = [x^lam]."""
-        deg = self.degree + other.degree
-        return SymPolynomial(
-            deg, {lam: _product_coefficient(self, other, lam) for d in range(deg + 1) for lam in partitions(d)}
-        )
+        return SymPolynomial(self.degree + other.degree, _merged_product(self, other))
 
     def truncate_bounded(self, n: int) -> SymPolynomial:
         """Image in the quotient dropping m_lam with lam_1 >= n."""
@@ -203,26 +201,31 @@ def _distinct_perms(items: tuple[int, ...]):
             yield (x,) + rest
 
 
-def _product_coefficient(g: SymPolynomial, f, alpha: tuple[int, ...]) -> int:
-    """[x^alpha] (g * f), with f read by composition.
+def _merged_product(g: SymPolynomial, f: SymPolynomial | WeightPolynomial) -> Counter:
+    """[x^alpha] (g * f) for every alpha reached.  Each part of alpha is the
+    next part of a key beta of f, that part plus a part of a key mu of g, or
+    a part of mu alone; parts of mu are drawn by value, so each alpha - beta'
+    (beta' = beta with zeros inserted) is reached once.  A SymPolynomial f is
+    read by partition, its parts drawn like mu's, and only partitions alpha
+    are produced; equal states (alpha so far, parts left) merge as they grow."""
+    symmetric, out = isinstance(f, SymPolynomial), Counter()
+    level = {((), beta, mu): cf * cg for beta, cf in f.coeffs.items() for mu, cg in g.coeffs.items()}
+    while level:
+        grown = defaultdict(int)
+        for (alpha, beta, mu), c in level.items():
+            if not beta and not mu:
+                out[alpha] = c
+            for m, mu_rest in _draws(mu, len(mu)):
+                for b, beta_rest in _draws(beta, len(beta) if symmetric else 1):
+                    if b + m and not (symmetric and alpha and b + m > alpha[-1]):
+                        grown[alpha + (b + m,), beta_rest, mu_rest] += c
+        level = grown
+    return out
 
-    The exponent vectors gamma <= alpha of g are enumerated one total degree
-    of g at a time, each part capped by g's largest part (1 for e_r).
-    """
-    top = max((lam[0] for lam in g.coeffs if lam), default=0)
-    caps = tuple(min(a, top) for a in alpha)
-    total = 0
-    for d in {sum(lam) for lam in g.coeffs}:
-        for gamma in _gamma_vectors(caps, d):
-            if c := g[gamma]:
-                total += c * f[tuple(a - x for a, x in zip(alpha, gamma))]
-    return total
 
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _gamma_vectors(caps: tuple[int, ...], d: int) -> tuple[tuple[int, ...], ...]:
-    """The vectors of _bounded_vectors(caps, d), memoised per (caps, d)."""
-    return tuple(_bounded_vectors(caps, d))
+def _draws(parts: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(0, parts), then (x, parts less one x) for each distinct x of parts[:k]."""
+    return [(0, parts)] + [(x, parts[:i] + parts[i + 1 :]) for i, x in enumerate(parts[:k]) if x not in parts[:i]]
 
 
 def h_poly(r: int) -> SymPolynomial:
@@ -420,7 +423,8 @@ class PieriReport:
 
 
 def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, PieriReport]:
-    """Verify all four Pieri rules at w for one r, composition by composition.
+    """Verify all four Pieri rules at w for one r, composition by composition
+    over the union of the keys of lhs and rhs, in lexicographic order.
 
     strong:      h_r * Strong_w = sum over weak strips w -> z of Strong_z
     dual strong: e_r * Strong_w = sum over dual weak strips
@@ -450,15 +454,10 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     ]
     reports = {}
     for name, base, g, bounded, targets in rules:
-        mism = []
-        for alpha in compositions(d):
-            if bounded and any(a >= n for a in alpha):
-                continue
-            lhs = _product_coefficient(g, base, alpha)
-            rhs = sum(t[alpha] for t in targets)
-            if lhs != rhs:
-                mism.append((alpha, lhs, rhs))
-        reports[name] = PieriReport(not mism, name, d, tuple(mism))
+        lhs, rhs = _merged_product(g, base), sum((Counter(t.coeffs) for t in targets), Counter())
+        keys = sorted(alpha for alpha in lhs.keys() | rhs.keys() if not (bounded and any(a >= n for a in alpha)))
+        mism = tuple((alpha, lhs[alpha], rhs[alpha]) for alpha in keys if lhs[alpha] != rhs[alpha])
+        reports[name] = PieriReport(not mism, name, d, mism)
     return reports
 
 

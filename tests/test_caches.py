@@ -100,7 +100,6 @@ MEMOS = {
     "strong.count_standard_strong",
     "strong.marked_covers_above",
     "strong.strong_strips_from",
-    "symfunc._gamma_vectors",
     "symfunc.count_matrices",
     "weak.count_standard_weak",
     "weak.dual_weak_strips_from",

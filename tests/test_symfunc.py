@@ -8,6 +8,7 @@ from affine_insertion import clear_caches, symfunc
 from affine_insertion.affperm import (
     AffinePermutation,
     dynkin_flip,
+    elements_by_length,
     from_reduced_word,
     identity,
     rotate,
@@ -41,6 +42,7 @@ from affine_insertion.symfunc import (
     k_schur_spin,
     pieri_checks,
     strong_schur,
+    strong_weight_function,
     structure_constants,
     weak_schur,
     weak_weight_function,
@@ -133,6 +135,53 @@ def test_product_matches_expansion_in_variables():
     g = SymPolynomial(3, {(1,): 3, (2,): 1, (1, 1, 1): -1})
     assert f * g == _product_in_variables(f, g)
     assert (f * g)[()] == 0 and (f * g)[(1,)] == 3
+
+
+def _reference_coefficient(g, f, alpha):
+    """[x^alpha] (g * f) the backward way, f read by composition: every
+    exponent vector gamma <= alpha of g, each part capped by g's largest part."""
+    top = max((lam[0] for lam in g.coeffs if lam), default=0)
+    caps = tuple(min(a, top) for a in alpha)
+    total = 0
+    for d in {sum(lam) for lam in g.coeffs}:
+        for gamma in symfunc._bounded_vectors(caps, d):
+            if c := g[gamma]:
+                total += c * f[tuple(a - x for a, x in zip(alpha, gamma))]
+    return total
+
+
+def test_merged_product_equals_the_backward_reference():
+    # every element of length <= 4 at n = 3 and <= 3 at n = 4, every l,
+    # both weight functions, every r, both h_r and e_r
+    checked = 0
+    for n, max_length in ((3, 4), (4, 3)):
+        e = identity(n)
+        for w in itertools.chain.from_iterable(elements_by_length(n, max_length)):
+            for l in range(n):
+                for f in (strong_weight_function(w, e, l), weak_weight_function(w, e)):
+                    for r in range(1, n):
+                        for g in (h_poly(r), e_poly(r)):
+                            alphas = list(compositions(w.length + r))
+                            got = symfunc._merged_product(g, f)
+                            assert set(got) <= set(alphas)
+                            assert [got.get(a, 0) for a in alphas] == [_reference_coefficient(g, f, a) for a in alphas]
+                            checked += len(alphas)
+    assert checked == 34_028
+    # SymPolynomial products, read by partition: mixed degrees and a constant term
+    polys = [
+        h_poly(2),
+        e_poly(3),
+        h_poly(1) + e_poly(2),
+        SymPolynomial(4, {(2, 1, 1): 7, (): 2}),
+        k_schur((2, 1), 3),
+        k_schur((2, 2, 1), 3),
+        k_schur((3, 1), 4),
+        k_schur((2, 2, 1), 4),
+    ]
+    for f, g in itertools.product(polys, repeat=2):
+        deg = f.degree + g.degree
+        expected = {lam: c for d in range(deg + 1) for lam in partitions(d) if (c := _reference_coefficient(f, g, lam))}
+        assert (f * g).coeffs == expected
 
 
 def test_h_times_h_is_matrix_count():
@@ -621,3 +670,32 @@ def test_pieri_dropped_strip_fails_only_its_rules(monkeypatch, enumerator, faili
     reports = pieri_checks(3, 0, w, 1)
     assert list(reports) == ["strong", "dual_strong", "weak", "dual_weak"]
     assert {name for name, rep in reports.items() if not rep.ok} == failing
+    # each report lists exactly the mismatches of the backward check, in its order
+    assert {name: rep.mismatches for name, rep in reports.items()} == _reference_pieri_mismatches(3, 0, w, 1)
+    assert all(max(alpha) < 3 for name in ("weak", "dual_weak") for alpha, _, _ in reports[name].mismatches)
+
+
+def _reference_pieri_mismatches(n, l, w, r):
+    """The mismatches of each Pieri rule the backward way: coefficient by
+    coefficient over compositions(d), the weak rules in the bounded quotient."""
+    e = identity(n)
+    strong, weak = symfunc.strong_weight_function, symfunc.weak_weight_function
+    rules = {
+        "strong": (strong(w, e, l), h_poly(r), False, [strong(s.outside, e, l) for s in symfunc.weak_strips_from(w, r)]),
+        "dual_strong": (
+            strong(w, e, l), e_poly(r), False, [strong(s.outside, e, l) for s in symfunc.dual_weak_strips_from(w, r)]
+        ),
+        "weak": (weak(w, e), h_poly(r), True, [weak(s.outside, e) for s in symfunc.strong_strips_from(w, r, l)]),
+        "dual_weak": (
+            weak(w, e), e_poly(r), True, [weak(s.outside.inverse(), e) for s in symfunc.strong_strips_from(w.inverse(), r, l)]
+        ),
+    }
+    out = {}
+    for name, (base, g, bounded, targets) in rules.items():
+        rows = [
+            (alpha, _reference_coefficient(g, base, alpha), sum(t[alpha] for t in targets))
+            for alpha in compositions(w.length + r)
+            if not (bounded and any(a >= n for a in alpha))
+        ]
+        out[name] = tuple(row for row in rows if row[1] != row[2])
+    return out
