@@ -113,11 +113,8 @@ class AffinePermutation:
         return AffinePermutation(n, [win[(v - 1) % n] + (v - 1) // n * n for v in other.window])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffinePermutation)
-            and self.n == other.n
-            and self.window == other.window
-        )
+        # equal windows have equal length, so they also have equal rank
+        return self is other or (isinstance(other, AffinePermutation) and self.window == other.window)
 
     def __hash__(self) -> int:
         return self._hash
@@ -147,7 +144,7 @@ class AffinePermutation:
             vals = self.window  # a shift of the stored window by a multiple of n
         else:
             vals = [self(l + m) for m in range(1, self.n + 1)]
-        return all(a < b for a, b in zip(vals, vals[1:]))
+        return all(map(int.__lt__, vals, vals[1:]))
 
     def has_right_descent(self, r: int) -> bool:
         """ell(w * s_r) < ell(w), tested on window values."""

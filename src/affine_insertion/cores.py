@@ -90,9 +90,11 @@ def contains(lam, mu) -> bool:
     return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
 
 
-def cells(lam) -> list[tuple[int, int]]:
-    """Cells (row, col), 1-based; the diagonal index of (i, j) is j - i."""
-    return [(i, j) for i, part in enumerate(lam, 1) for j in range(1, part + 1)]
+def cells(lam, mu=()) -> list[tuple[int, int]]:
+    """Cells (row, col) of lam not in mu, 1-based, row by row: with mu inside
+    lam, the skew shape lam/mu.  The diagonal index of (i, j) is j - i."""
+    rows = itertools.zip_longest(lam, mu, fillvalue=0)
+    return [(i, j) for i, (part, skip) in enumerate(rows, 1) for j in range(skip + 1, part + 1)]
 
 
 def hook_length(lam, conj, i: int, j: int) -> int:
@@ -339,9 +341,8 @@ class StrongCoverOnCores:
 
 
 def _skew_components(lam, mu) -> list[list[tuple[int, int]]]:
-    cellset = set(cells(lam)) - set(cells(mu))
     comps = []
-    remaining = set(cellset)
+    remaining = set(cells(lam, mu))
     while remaining:
         seed = remaining.pop()
         comp = {seed}
@@ -464,7 +465,7 @@ def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:
     )
     fill = {}
     for k in range(1, len(chain)):
-        for cell in set(cells(chain[k])) - set(cells(chain[k - 1])):
+        for cell in cells(chain[k], chain[k - 1]):
             fill[cell] = k
     return fill
 
@@ -477,9 +478,8 @@ def strong_tableau_filling(t_tab: StrongTableau) -> dict[tuple[int, int], tuple[
     chain = _grassmannian_chain_cores([t_tab.inside] + [cover.outside for _, _, cover in covers])
     fill = {}
     for (k, idx, cover), mu, lam in zip(covers, chain, chain[1:]):
-        for cell in set(cells(lam)) - set(cells(mu)):
-            i, j = cell
-            fill[cell] = (k, idx, j - i == cover.mark - 1)
+        for i, j in cells(lam, mu):
+            fill[i, j] = (k, idx, j - i == cover.mark - 1)
     return fill
 
 

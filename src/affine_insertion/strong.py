@@ -48,12 +48,17 @@ class InvalidStrongStrip(ValueError):
 def is_cover_pair(w: AffinePermutation, i: int, j: int) -> bool:
     """True iff w is covered by w*t_{ij}: w(i) < w(j) and no window value
     in between sits at a position strictly between i and j."""
-    if i >= j or (i - j) % w.n == 0:
+    n, win = w.n, w.window
+    if i >= j or (i - j) % n == 0:
         return False
     wi, wj = w(i), w(j)
     if wi >= wj:
         return False
-    return all(not wi <= w(k) <= wj for k in range(i + 1, j))
+    for k in range(i, j - 1):  # w(k + 1) for k + 1 in (i, j), off the stored window
+        q, r = divmod(k, n)
+        if wi <= win[r] + q * n <= wj:
+            return False
+    return True
 
 
 def reflection_of_cover(w: AffinePermutation, u: AffinePermutation) -> tuple[int, int] | None:

@@ -55,7 +55,12 @@ class InvalidStrip(ValueError):
 
 
 def normalize_residues(n: int, members) -> frozenset[int]:
-    out = frozenset(a % n for a in members)
+    """The residues of members mod n, a proper subset of Z/nZ (else FullSet); a
+    frozenset already inside [0, n) is returned as it is, after a min/max check."""
+    if isinstance(members, frozenset) and (not members or (0 <= min(members) and max(members) < n)):
+        out = members
+    else:
+        out = frozenset(a % n for a in members)
     if len(out) >= n:
         raise FullSet(f"residue set must be a proper subset of Z/{n}Z")
     return out
@@ -101,8 +106,9 @@ def step_to(n: int, a_set: frozenset[int], x: int, pred, step: int = 1) -> int:
     raise FullSet(f"residue set {sorted(a_set)} admits no integer passing {pred.__name__}")
 
 
-def _cA_runs(n: int, a_set: frozenset[int]) -> tuple[list[tuple[int, int]], list[int]]:
-    """The closed form of c_A, read off the maximal cyclic runs of A.
+@lru_cache(maxsize=MEMO_SIZE)
+def _cA_runs(n: int, a_set: frozenset[int]) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The closed form of c_A, read off the maximal cyclic runs of A; memoised.
 
     Returns the runs (s, k), s its lowest residue and k its length, and the
     table of c_A(i) - i by the residue of i: k at s, whose next A-nice
@@ -119,7 +125,7 @@ def _cA_runs(n: int, a_set: frozenset[int]) -> tuple[list[tuple[int, int]], list
             runs.append((a, k))
             shifts[a] = k
         shifts[(a + 1) % n] = -1
-    return runs, shifts
+    return tuple(runs), tuple(shifts)
 
 
 def apply_cA(n: int, members, i: int) -> int:

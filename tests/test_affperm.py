@@ -72,6 +72,17 @@ def test_multiply_and_inverse():
         w * identity(4)
 
 
+def test_equality_compares_windows_only():
+    w = from_window(3, [-3, 2, 7])
+    assert w == w and w == from_window(3, [-3, 2, 7])
+    assert hash(w) == hash(from_window(3, [-3, 2, 7]))
+    assert identity(3) != identity(4) and identity(4) != identity(3)
+    assert from_window(3, [1, 2, 3]) != from_window(4, [1, 2, 3, 4])
+    assert w != from_window(3, [2, 1, 3])
+    for other in (None, (-3, 2, 7), [-3, 2, 7], "[-3,2,7]"):
+        assert (w == other) is False and w != other
+
+
 def test_paper_reduced_word_example():
     w = from_reduced_word(4, PAPER_WORD)
     assert w.window == (-7, -1, 4, 14)

@@ -3,6 +3,7 @@ memo is found by clear_caches and bounded by MEMO_SIZE, and a k-Schur
 expansion computes each neighbourhood once."""
 
 import hashlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from affine_insertion.cores import (
 )
 from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
 from affine_insertion.symfunc import count_matrices, k_schur, k_schur_spin, pieri_checks
-from affine_insertion.weak import count_standard_weak, dual_weak_strips_from, weak_strips_from
+from affine_insertion.weak import _cA_runs, count_standard_weak, dual_weak_strips_from, weak_strips_from
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "kschur_digests.json"
 
@@ -74,6 +75,18 @@ def test_cover_spin_memo_equals_its_body(n):
     assert _spin_of_cover.cache_info().currsize == len(set(covers))
 
 
+def test_cA_runs_memo_equals_its_body():
+    for n in range(2, 7):
+        for size in range(n):  # every proper subset of Z/nZ
+            for members in itertools.combinations(range(n), size):
+                a_set = frozenset(members)
+                got = _cA_runs(n, a_set)
+                assert type(got) is tuple and all(type(part) is tuple for part in got)
+                runs, shifts = _cA_runs.__wrapped__(n, a_set)
+                assert sorted(got[0]) == sorted(runs) and got[1] == shifts, (n, members)
+                assert _cA_runs(n, a_set) is got  # a second call is served by the memo
+
+
 def test_spin_of_marked_cover_takes_lists_and_caches_no_error():
     assert spin_of_marked_cover([2], [2, 1, 1], 3, 0) == spin_of_marked_cover((2,), (2, 1, 1), 3, 0) == 1
     for _ in range(2):  # the failure is raised again, not served from the memo
@@ -101,6 +114,7 @@ MEMOS = {
     "strong.marked_covers_above",
     "strong.strong_strips_from",
     "symfunc.count_matrices",
+    "weak._cA_runs",
     "weak.count_standard_weak",
     "weak.dual_weak_strips_from",
     "weak.weak_strips_from",

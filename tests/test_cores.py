@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from affine_insertion.affperm import (
@@ -15,6 +17,7 @@ from affine_insertion.cores import (
     act_on_partition,
     apply_simple,
     bounded_of,
+    cells,
     conjugate,
     contains,
     core_from_offsets,
@@ -38,6 +41,7 @@ from affine_insertion.cores import (
     strong_tableau_filling,
     weak_tableau_filling,
 )
+from affine_insertion.insertion import BoundedMatrix, grassmannian_rsk
 from affine_insertion.strong import StrongStrip, StrongTableau, marked_covers_above
 from affine_insertion.weak import WeakStrip, WeakTableau, weak_strip_between
 
@@ -342,3 +346,35 @@ def test_partition_text_forms():
         parse_partition("(1,2)")
     with pytest.raises(ValueError):
         parse_partition("10,7")
+
+
+def test_skew_cells_equal_the_set_difference():
+    shapes = [lam for size in range(9) for lam in partitions(size)]
+    for lam in shapes:
+        for mu in shapes:  # mu need not lie inside lam
+            got = cells(lam, mu)
+            assert len(got) == len(set(got)) and got == sorted(got)
+            assert set(got) == set(cells(lam)) - set(cells(mu)), (lam, mu)
+
+
+def _weak_filling_by_difference(u_tab):
+    chain = [core_of(u_tab.inside)] + [core_of(s.outside) for s in u_tab.strips]
+    return {cell: k for k in range(1, len(chain)) for cell in set(cells(chain[k])) - set(cells(chain[k - 1]))}
+
+
+def _strong_filling_by_difference(t_tab):
+    covers = [(k, idx, c) for k, strip in enumerate(t_tab.strips, 1) for idx, c in enumerate(strip.covers, 1)]
+    chain = [core_of(t_tab.inside)] + [core_of(c.outside) for _, _, c in covers]
+    fill = {}
+    for (k, idx, c), mu, lam in zip(covers, chain, chain[1:]):
+        for i, j in set(cells(lam)) - set(cells(mu)):
+            fill[i, j] = (k, idx, j - i == c.mark - 1)
+    return fill
+
+
+def test_fillings_equal_the_set_difference_fillings():
+    for entries in itertools.product((0, 1), repeat=9):
+        m = BoundedMatrix.from_rows([entries[0:3], entries[3:6], entries[6:9]])
+        p, q = grassmannian_rsk(m, 20)
+        assert strong_tableau_filling(p) == _strong_filling_by_difference(p), entries
+        assert weak_tableau_filling(q) == _weak_filling_by_difference(q), entries

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from affine_insertion import localrule
@@ -301,3 +306,64 @@ def test_planted_wrong_square_raises(monkeypatch, case, helper, plant):
     monkeypatch.setattr(localrule, helper, plant(getattr(localrule, helper), shift))
     with pytest.raises(ValueError):
         step()
+
+
+# Run under python -O, where assert statements are stripped: the square
+# identity, the strip test and the cover test must still raise.
+OPTIMIZED_CHECKS = """
+from affine_insertion import localrule
+from affine_insertion.affperm import from_window as W, identity, right_mult_transposition, simple_reflection
+from affine_insertion.localrule import FinalPair, external_insert
+from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip
+from affine_insertion.weak import InvalidStrip, WeakStrip
+
+if __debug__:
+    raise SystemExit("not running under -O")
+
+
+def raised(exc, thunk):
+    try:
+        thunk()
+    except exc:
+        return True
+    return False
+
+
+def case_x():
+    inside, outside = W(5, [2, -4, 5, 8, 4]), W(5, [2, -5, 6, 9, 3])
+    return external_insert(FinalPair(WeakStrip(inside, frozenset({3, 5}), outside), StrongStrip(outside, ())), 0)
+
+
+case_x()  # the unplanted step succeeds
+real = localrule.cyclically_decreasing
+localrule.cyclically_decreasing = lambda n, a_set: real(n, a_set) * simple_reflection(n, 0)
+print("square", raised(ValueError, case_x))
+localrule.cyclically_decreasing = real
+
+e, s0 = identity(3), simple_reflection(3, 0)
+print("strip product", raised(InvalidStrip, lambda: WeakStrip(e, frozenset({0}), e)))
+print("strip length", raised(InvalidStrip, lambda: WeakStrip(s0, frozenset({0}), e)))
+t02 = right_mult_transposition(e, 0, 2)
+print("cover straddle", raised(NotACover, lambda: MarkedStrongCover(e, 1, 2, right_mult_transposition(e, 1, 2), 0)))
+print("cover interval", raised(NotACover, lambda: MarkedStrongCover(e, 0, 2, t02, 0)))
+print("cover square", raised(NotACover, lambda: MarkedStrongCover(e, 0, 1, t02, 0)))
+"""
+
+
+def test_checks_survive_python_O():
+    env = dict(os.environ)
+    src = str(Path(localrule.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "square True",
+        "strip product True",
+        "strip length True",
+        "cover straddle True",
+        "cover interval True",
+        "cover square True",
+        "",
+    ]

@@ -19,6 +19,7 @@ from affine_insertion.strong import (
     chevalley_multiplicity,
     count_standard_strong,
     count_strong_tableaux,
+    is_cover_pair,
     is_strong_cover,
     marked_covers_above,
     marked_covers_below,
@@ -232,3 +233,24 @@ def test_standard_strong_counts_n2():
 def test_strip_render():
     s = strong_strips_from(identity(3), 1, 0)[0]
     assert s.render() == "[1,2,3] --(0,1)@1--> [0,2,4]"
+
+
+def _cover_pair_by_evaluation(w, i, j):
+    """Reference for is_cover_pair: evaluate w at every position between i and j."""
+    if i >= j or (i - j) % w.n == 0:
+        return False
+    wi, wj = w(i), w(j)
+    if wi >= wj:
+        return False
+    return all(not wi <= w(k) <= wj for k in range(i + 1, j))
+
+
+def test_cover_pair_window_scan_equals_evaluation():
+    triples = 0
+    for n, max_len in ((2, 5), (3, 5), (4, 5), (5, 4)):
+        for w in (w for level in elements_by_length(n, max_len) for w in level):
+            for i in range(-n, n + 1):
+                for j in range(i + 1, i + 4 * n):
+                    assert is_cover_pair(w, i, j) == _cover_pair_by_evaluation(w, i, j), (w, i, j)
+                    triples += 1
+    assert triples == 46596

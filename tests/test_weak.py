@@ -24,6 +24,7 @@ from affine_insertion.weak import (
     cyclically_increasing,
     dual_weak_strips_from,
     format_residue_set,
+    normalize_residues,
     parse_residue_set,
     weak_strip_between,
     weak_strip_is_valid,
@@ -41,6 +42,18 @@ def test_cyclic_components():
     assert cyclic_components(3, {2}) == [(2, 2)]
     with pytest.raises(FullSet):
         cyclic_components(3, {0, 1, 2})
+
+
+def test_normalize_residues():
+    for n in (3, 5):
+        normal = frozenset(range(1, n))
+        assert normalize_residues(n, normal) is normal  # already normal: returned as it is
+        assert normalize_residues(n, frozenset()) == frozenset()
+        assert normalize_residues(n, frozenset({-1, n})) == frozenset({0, n - 1})
+        assert normalize_residues(n, [n + 1, 1, -2 * n]) == frozenset({0, 1})
+        for full in (frozenset(range(n)), frozenset(range(n, 2 * n)), list(range(-n, 0))):
+            with pytest.raises(FullSet):
+                normalize_residues(n, full)
 
 
 def test_cyclically_decreasing_element():
