@@ -28,6 +28,7 @@ __all__ = [
     "chevalley_multiplicity",
     "StrongStrip",
     "strong_strips_from",
+    "strong_strip_outsides",
     "strong_strips_ending_at",
     "StrongTableau",
     "strong_tableaux",
@@ -262,6 +263,33 @@ def strong_strips_from(w: AffinePermutation, r: int, l: int) -> tuple[StrongStri
     return tuple(strips)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def strong_strip_outsides(w: AffinePermutation, r: int, l: int) -> tuple[tuple[AffinePermutation, int], ...]:
+    """The distinct outsides of the strong strips of size r with inside w,
+    each with its number of strips; memoised per (w, r, l).  Builds no
+    strip: counts chains per (element, last mark), stepping through the
+    marked covers above each element whose mark exceeds the last.
+
+    >>> from .affperm import from_window
+    >>> [(o.window, m) for o, m in strong_strip_outsides(from_window(3, [0, 1, 5]), 1, 0)]
+    [((-1, 1, 6), 2), ((-2, 3, 5), 1)]
+    """
+    if r < 0:
+        return ()
+    states = {(w, None): 1}
+    for _ in range(r):
+        nxt: dict = {}
+        for (x, floor), m in states.items():
+            for c in marked_covers_above(x, l):
+                if floor is None or c.mark > floor:
+                    nxt[c.outside, c.mark] = nxt.get((c.outside, c.mark), 0) + m
+        states = nxt
+    outs: dict = {}
+    for (x, _), m in states.items():
+        outs[x] = outs.get(x, 0) + m
+    return tuple(outs.items())
+
+
 def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
     """All strong strips of size r with the given outside."""
     if r < 0:
@@ -296,12 +324,12 @@ def strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, l: in
 
 def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight, l: int) -> int:
     """Number of strong tableaux with the given weight composition."""
-    return count_chains(strong_strips_from, (l,), inside, outside, weight)
+    return count_chains(strong_strip_outsides, (l,), inside, outside, weight)
 
 
 def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l: int) -> dict:
     """Strong tableau counts per positive weight composition; the memo's own dict."""
-    return weight_table(strong_strips_from, (l,), inside, outside, None)
+    return weight_table(strong_strip_outsides, (l,), inside, outside, None)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

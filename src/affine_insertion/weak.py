@@ -35,6 +35,7 @@ __all__ = [
     "weak_strip_is_valid",
     "weak_strip_length_check",
     "weak_strips_from",
+    "weak_strip_outsides",
     "dual_weak_strips_from",
     "WeakTableau",
     "weak_tableaux",
@@ -247,6 +248,13 @@ def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
     return _strips_from(w, r, cyclically_decreasing, WeakStrip)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def weak_strip_outsides(w: AffinePermutation, r: int) -> tuple[tuple[AffinePermutation, int], ...]:
+    """The outsides of the weak strips of size r with inside w, each with
+    multiplicity 1 (distinct A give distinct c_A * w); memoised per (w, r)."""
+    return tuple((s.outside, 1) for s in weak_strips_from(w, r))
+
+
 @dataclass(frozen=True)
 class DualWeakStrip:
     """Interval w -> v with v * w^{-1} cyclically increasing, length-additive."""
@@ -298,12 +306,12 @@ def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, w
 
     Zero parts are allowed (they force trivial strips) and are dropped.
     """
-    return count_chains(weak_strips_from, (), inside, outside, weight, max_size=inside.n - 1)
+    return count_chains(weak_strip_outsides, (), inside, outside, weight, max_size=inside.n - 1)
 
 
 def weak_weight_table(inside: AffinePermutation, outside: AffinePermutation) -> dict:
     """Weak tableau counts per positive weight composition; the memo's own dict."""
-    return weight_table(weak_strips_from, (), inside, outside, inside.n - 1)
+    return weight_table(weak_strip_outsides, (), inside, outside, inside.n - 1)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

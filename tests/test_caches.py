@@ -22,7 +22,12 @@ from affine_insertion.cores import (
     grassmannians_by_length,
     spin_of_marked_cover,
 )
-from affine_insertion.strong import count_standard_strong, marked_covers_above, strong_strips_from
+from affine_insertion.strong import (
+    count_standard_strong,
+    marked_covers_above,
+    strong_strip_outsides,
+    strong_strips_from,
+)
 from affine_insertion.symfunc import count_matrices, k_schur, k_schur_spin, pieri_checks
 from affine_insertion.weak import _cA_runs, count_standard_weak, dual_weak_strips_from, weak_strips_from
 
@@ -112,11 +117,13 @@ MEMOS = {
     "cores.grassmannians_by_length",
     "strong.count_standard_strong",
     "strong.marked_covers_above",
+    "strong.strong_strip_outsides",
     "strong.strong_strips_from",
     "symfunc.count_matrices",
     "weak._cA_runs",
     "weak.count_standard_weak",
     "weak.dual_weak_strips_from",
+    "weak.weak_strip_outsides",
     "weak.weak_strips_from",
 }
 
@@ -158,3 +165,11 @@ def test_kschur_computes_each_neighbourhood_once():
     assert marked_covers_above.cache_info().hits > 0 and weight_table.cache_info().hits > 0
     digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
     assert digest == json.loads(DIGESTS_PATH.read_text())["plain n=4 [3, 3, 2, 2, 1]"]
+
+
+def test_kschur_counts_strips_by_outside_without_building_them():
+    clear_caches()
+    k_schur((3, 3, 2, 2, 1), 4)
+    info = strong_strip_outsides.cache_info()
+    assert info.hits == 0 and info.misses == info.currsize > 0  # one DP per (inside, r)
+    assert strong_strips_from.cache_info().misses == 0

@@ -12,6 +12,7 @@ from affine_insertion.strong import (
     StrongStrip,
     StrongTableau,
     count_strong_tableaux,
+    strong_strip_outsides,
     strong_strips_from,
     strong_tableaux,
     strong_weight_table,
@@ -22,6 +23,7 @@ from affine_insertion.weak import (
     WeakStrip,
     WeakTableau,
     count_weak_tableaux,
+    weak_strip_outsides,
     weak_strips_from,
     weak_tableaux,
     weak_weight_table,
@@ -41,6 +43,20 @@ SIDES = {
     ),
     "weak": (weak_tableaux, count_weak_tableaux, lambda u, v: weak_weight_function(v, u)),
 }
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
+def test_outsides_count_the_enumerated_strips(n, max_len):
+    # the mark DP and the weak tuple against the strips themselves, grouped by outside
+    for w in (w for level in elements_by_length(n, max_len) for w in level):
+        for r in range(n + 1):
+            for l in range(-1, n + 1):
+                got = strong_strip_outsides(w, r, l)
+                assert len({o for o, _ in got}) == len(got)
+                assert dict(got) == Counter(s.outside for s in strong_strips_from(w, r, l)), (w, r, l)
+            got = weak_strip_outsides(w, r)
+            assert len({o for o, _ in got}) == len(got)
+            assert dict(got) == Counter(s.outside for s in weak_strips_from(w, r)), (w, r)
 
 
 @pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -304,6 +306,21 @@ def test_k_schur_spin_at_degree_11_computes_each_cover_spin_once():
     assert all(spin >= 0 for (_, spin) in sp.coeffs)
     info = _spin_of_cover.cache_info()
     assert info.misses == info.currsize > 0
+
+
+# (sha256, number of terms) of the sorted terms of k_schur(b, n) at degree 16,
+# beyond the degree-11 shapes of perfbench/kschur_digests.json
+DEGREE_16_DIGESTS = {
+    ((3, 3, 3, 2, 2, 2, 1), 4): ("b5a23ac4a2e071142ed814742279cd46c8984b8b5db0227d9cd8fa990ba8ea48", 227),
+    ((4, 4, 3, 2, 2, 1), 5): ("91f68f6ecc5de96847c2768ad676092ea8a01599afd5c244ccd8c193ed62e247", 221),
+}
+
+
+@pytest.mark.parametrize("b, n", DEGREE_16_DIGESTS)
+def test_k_schur_at_degree_16_matches_its_digest(b, n):
+    terms = sorted([list(lam), c] for lam, c in k_schur(b, n).coeffs.items())
+    digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
+    assert (digest, len(terms)) == DEGREE_16_DIGESTS[b, n]
 
 
 def test_pieri_printed_example():
