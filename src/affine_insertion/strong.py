@@ -10,8 +10,10 @@ distinct marked covers; their number is the affine Chevalley multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .affperm import MEMO_SIZE, AffinePermutation, canonical_reflection, right_mult_transposition
 from .chains import StripChain, count_chains, walk_chains, weight_table
@@ -92,13 +94,18 @@ def is_strong_cover(w: AffinePermutation, u: AffinePermutation) -> bool:
 
 @dataclass(frozen=True)
 class MarkedStrongCover:
-    """Strong cover w -> u = w*t_{ij} with a straddling translate i <= l < j."""
+    """Strong cover w -> u = w*t_{ij} with a straddling translate i <= l < j.
+
+    The mark m(C) = w(j) is stored once the checks pass.  It is a function
+    of the other fields, so it takes no part in equality, hashing or the
+    dataclass repr."""
 
     inside: AffinePermutation
     i: int
     j: int
     outside: AffinePermutation
     l: int
+    mark: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w, i, j = self.inside, self.i, self.j
@@ -108,10 +115,7 @@ class MarkedStrongCover:
             raise NotACover(f"{w} -({i},{j})-> is not a strong cover")
         if right_mult_transposition(w, i, j) != self.outside:
             raise NotACover("outside element does not match w * t_ij")
-
-    @property
-    def mark(self) -> int:
-        return self.inside(self.j)
+        object.__setattr__(self, "mark", w(j))
 
     def __repr__(self):
         return f"MarkedStrongCover({self.inside} --({self.i},{self.j})@{self.mark}--> {self.outside})"
@@ -263,12 +267,16 @@ def strong_strips_from(w: AffinePermutation, r: int, l: int) -> tuple[StrongStri
     return tuple(strips)
 
 
+_MARK = attrgetter("mark")
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def strong_strip_outsides(w: AffinePermutation, r: int, l: int) -> tuple[tuple[AffinePermutation, int], ...]:
     """The distinct outsides of the strong strips of size r with inside w,
     each with its number of strips; memoised per (w, r, l).  Builds no
-    strip: counts chains per (element, last mark), stepping through the
-    marked covers above each element whose mark exceeds the last.
+    strip: counts chains per (element, last mark).  marked_covers_above
+    sorts by mark, so the covers whose mark exceeds the last are a suffix
+    of its tuple; bisection finds where it starts and only it is read.
 
     >>> from .affperm import from_window
     >>> [(o.window, m) for o, m in strong_strip_outsides(from_window(3, [0, 1, 5]), 1, 0)]
@@ -280,9 +288,11 @@ def strong_strip_outsides(w: AffinePermutation, r: int, l: int) -> tuple[tuple[A
     for _ in range(r):
         nxt: dict = {}
         for (x, floor), m in states.items():
-            for c in marked_covers_above(x, l):
-                if floor is None or c.mark > floor:
-                    nxt[c.outside, c.mark] = nxt.get((c.outside, c.mark), 0) + m
+            covers = marked_covers_above(x, l)
+            start = 0 if floor is None else bisect_right(covers, floor, key=_MARK)
+            for c in covers[start:]:
+                state = c.outside, c.mark
+                nxt[state] = nxt.get(state, 0) + m
         states = nxt
     outs: dict = {}
     for (x, _), m in states.items():

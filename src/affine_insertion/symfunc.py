@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial, prod
 
 from .affperm import MEMO_SIZE, AffinePermutation, identity
 from .chains import weight_table
@@ -130,6 +131,32 @@ class WeightPolynomial:
         return self.coeffs.get(key, 0)
 
     def symmetry_report(self) -> SymmetryReport:
+        """Does every composition of the degree carry the count of the
+        partition it sorts to?  Checked key by key; the rearrangements of
+        every partition are enumerated only when that check fails, to list
+        each failure (partition, offending composition, count at partition,
+        count there) in the order of partitions(degree) and _distinct_perms.
+        Keys of another degree or with a zero part are ignored."""
+        # Symmetric if every nonzero key carries the value of its sorted key
+        # and each partition reached is reached by as many nonzero keys as it
+        # has distinct rearrangements.  Those keys are distinct and share its
+        # multiset, so every rearrangement of a reached partition is a
+        # nonzero key holding the partition's value.  A partition reached by
+        # no nonzero key has no nonzero rearrangement (such a key would have
+        # reached it), so it and all its rearrangements read 0.  A key of
+        # another degree or with a zero part reaches no partition of the
+        # degree: it can only send the table to the enumeration, which
+        # ignores it.
+        coeffs, reached = self.coeffs, Counter()
+        for key, c in coeffs.items():
+            if c:
+                lam = tuple(sorted(key, reverse=True))
+                if coeffs.get(lam, 0) != c:
+                    break
+                reached[lam] += 1
+        else:
+            if all(k == _rearrangements(lam) for lam, k in reached.items()):
+                return SymmetryReport(True)
         failures = []
         for lam in partitions(self.degree):
             base = self.coeffs.get(lam, 0)
@@ -186,6 +213,11 @@ class SymPolynomial:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymPolynomial) and self.coeffs == other.coeffs
+
+
+def _rearrangements(lam: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of lam: len(lam)! / prod(m_i!)."""
+    return factorial(len(lam)) // prod(factorial(m) for m in Counter(lam).values())
 
 
 def _distinct_perms(items: tuple[int, ...]):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -149,6 +150,21 @@ def test_consecutive_marks_never_equal_in_tuples():
             for c1 in marked_covers_above(w, 0):
                 for c2 in marked_covers_above(c1.outside, 0):
                     assert c1.mark != c2.mark
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
+def test_covers_above_are_sorted_by_their_stored_mark(n, max_len):
+    # strong_strip_outsides bisects these tuples by mark for the covers
+    # above the last mark, so they must be sorted by the mark they store
+    for level in elements_by_length(n, max_len):
+        for w in level:
+            for l in range(-1, n + 1):
+                covers = marked_covers_above(w, l)
+                marks = [c.mark for c in covers]
+                assert marks == sorted(marks), (w, l)
+                assert all(c.mark == c.inside(c.j) for c in covers), (w, l)
+    compared = {f.name for f in dataclasses.fields(MarkedStrongCover) if f.compare}
+    assert compared == {"inside", "i", "j", "outside", "l"}
 
 
 def test_strip_validation():

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_insertion import clear_caches, symfunc
 from affine_insertion.affperm import (
@@ -650,6 +652,68 @@ def test_symmetry_report_matches_brute_force_on_planted_asymmetry():
     assert not report.symmetric
     assert len(report.failures) == len(expected) == 4
     assert set(report.failures) == expected
+
+
+def _enumerated_symmetry_report(wf):
+    """symmetry_report by enumeration alone: every rearrangement of every
+    partition of the degree against the count at the partition."""
+    failures = []
+    for lam in partitions(wf.degree):
+        base = wf.coeffs.get(lam, 0)
+        for comp in symfunc._distinct_perms(lam):
+            got = wf.coeffs.get(comp, 0)
+            if got != base:
+                failures.append((lam, comp, base, got))
+    return symfunc.SymmetryReport(not failures, tuple(failures))
+
+
+def test_symmetry_report_equals_the_enumeration_on_the_gated_tables():
+    # every table behind k_schur at n = 3, 4 up to degree 8 and behind
+    # weak_schur at n = 3 up to length 5; all symmetric, as theorems say
+    tables = [
+        strong_weight_function(symfunc._grassmannian_from_bounded(b, n), identity(n), 0)
+        for n in (3, 4)
+        for d in range(9)
+        for b in partitions(d)
+        if not b or b[0] < n
+    ]
+    tables += [weak_weight_function(u, identity(3)) for level in elements_by_length(3, 5) for u in level]
+    assert [wf.symmetry_report() for wf in tables] == [_enumerated_symmetry_report(wf) for wf in tables]
+    assert len(tables) == 112
+
+
+@st.composite
+def _planted_tables(draw):
+    """A symmetric table of degree <= 7, in a drawn key order, then up to
+    three faults: a changed value, a deleted key, an explicit zero, a key
+    of another degree or a key with a zero part."""
+    d = draw(st.integers(0, 7))
+    coeffs = {}
+    for lam in partitions(d):
+        if c := draw(st.integers(0, 3)):
+            coeffs.update(dict.fromkeys(symfunc._distinct_perms(lam), c))
+    comps = list(compositions(d))
+    for fault in draw(st.lists(st.sampled_from(("value", "delete", "zero", "degree", "zero part")), max_size=3)):
+        comp = draw(st.sampled_from(comps))
+        if fault == "value":
+            coeffs[comp] = draw(st.integers(-1, 4).filter(lambda c: c != coeffs.get(comp, 0)))
+        elif fault == "delete":
+            coeffs.pop(comp, None)
+        elif fault == "zero":
+            coeffs[comp] = 0
+        elif fault == "degree":
+            other = comp[:-1] if draw(st.booleans()) else comp + (draw(st.integers(1, 2)),)
+            coeffs[other] = draw(st.integers(1, 3))
+        else:
+            k = draw(st.integers(0, len(comp)))
+            coeffs[comp[:k] + (0,) + comp[k:]] = draw(st.integers(1, 3))
+    return WeightPolynomial(d, dict(draw(st.permutations(list(coeffs.items())))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_planted_tables())
+def test_symmetry_report_equals_the_enumeration_on_planted_faults(wf):
+    assert wf.symmetry_report() == _enumerated_symmetry_report(wf)
 
 
 def test_symmetry_gate_raises_not_symmetric(monkeypatch):
