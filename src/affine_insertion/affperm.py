@@ -37,6 +37,7 @@ __all__ = [
     "translation",
     "coroot_decompose",
     "elements_by_length",
+    "parse_ints",
     "parse_window",
     "format_window",
 ]
@@ -352,16 +353,23 @@ def format_window(w: AffinePermutation) -> str:
     return "[" + ",".join(str(v) for v in w.window) + "]"
 
 
+def parse_ints(text: str, brackets: str) -> list[int]:
+    """The one grammar of integer lists: comma-separated integers inside the
+    required ``brackets``, as in '[-3, 2, 7]', with whitespace and one trailing comma."""
+    inner = text.strip()
+    if inner[:1] != brackets[0] or inner[-1:] != brackets[1]:
+        raise ValueError(f"expected integers inside {brackets}: {text!r}")
+    body = inner[1:-1].strip()
+    return [int(part) for part in body.removesuffix(",").split(",")] if body else []
+
+
 def parse_window(text: str, n: int | None = None) -> AffinePermutation:
-    """Parse '[a,b,c]'; brackets mandatory, whitespace tolerated.
+    """Parse '[a,b,c]' in the grammar of parse_ints.
 
     >>> parse_window("[-3, 2, 7]").window
     (-3, 2, 7)
     """
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"window text must be bracketed: {text!r}")
-    values = [int(part) for part in text[1:-1].split(",") if part.strip()]
+    values = parse_ints(text, "[]")
     if n is not None and len(values) != n:
         raise ValueError(f"expected {n} window entries, got {len(values)}")
     return from_window(len(values), values)

@@ -9,10 +9,11 @@ or invalid input.  All randomized sampling takes an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
-from .affperm import code, format_window, identity, parse_window
+from .affperm import code, format_window, identity, parse_ints, parse_window
 from .cores import (
     bounded_of,
     conjugate,
@@ -137,29 +138,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pieri)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=tuple(SUITES))
-    p.add_argument("--n", type=rank, required=True)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--max", type=nonnegative, default=3, help="length bound (roundtrip, pieri, symmetry)")
-    p.add_argument("--max-m", dest="max_m", type=nonnegative, default=4, help="counts bound")
-    p.add_argument("--dx", type=nonnegative, default=3)
-    p.add_argument("--vy", type=nonnegative, default=2)
-    p.add_argument("--rmax", type=int, help="largest r (pieri), default min(2, n - 1)")
-    p.add_argument("--entries", type=nonnegative, default=1, help="rsk-limit entry bound")
-    p.add_argument("--dim", type=nonnegative, default=2, help="matrix dimension")
-    p.add_argument("--total", type=nonnegative, default=3, help="global-roundtrip entry sum bound")
-    p.add_argument("--samples", type=nonnegative, default=0, help="extra seeded random cases")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    suites = p.add_subparsers(dest="suite", required=True)
+    for name, suite in SUITES.items():
+        # exact flags only, so that `counts --max` is not read as --max-m
+        s = suites.add_parser(name, description=inspect.getdoc(suite), allow_abbrev=False)
+        s.add_argument("--n", type=rank, required=True)
+        for param in list(inspect.signature(suite).parameters.values())[1:]:
+            flag = "--max" if param.name == "max_len" else "--" + param.name.replace("_", "-")
+            kind = int if param.name in ("l", "seed", "rmax") else nonnegative  # the rest are counts and bounds
+            s.add_argument(flag, dest=param.name, type=kind, default=param.default)
+        s.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def _read_doc(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"the JSON document {path} is nested too deeply") from None
 
 
 def cmd_insert(args) -> int:
@@ -209,18 +209,15 @@ def _convert_to_window(src: str, value: str, n: int):
         return grassmannian_of(parse_partition(value), n)
     if src == "bounded":
         return grassmannian_of(core_of_bounded(parse_partition(value), n), n)
+    ints = parse_ints(value, "()")
     if src == "offsets":
-        d = tuple(int(x) for x in value.strip().strip("()").split(",") if x.strip())
-        if len(d) != n:
+        if len(ints) != n:
             raise ValueError(f"offsets need {n} entries")
-        return grassmannian_of(core_from_offsets(d), n)
-    if src == "code":
-        c = tuple(int(x) for x in value.strip().strip("()").split(",") if x.strip())
-        if len(c) != n or sorted(c) != list(c) or (c and c[0] != 0):
-            raise ValueError("code of a Grassmannian element is weakly increasing from 0")
-        lam = tuple(sorted((x for x in c if x), reverse=True))
-        return grassmannian_of(core_of_bounded(k_conjugate(conjugate(lam), n), n), n)
-    raise ValueError(src)
+        return grassmannian_of(core_from_offsets(ints), n)
+    if len(ints) != n or sorted(ints) != ints or (ints and ints[0] != 0):  # src == "code"
+        raise ValueError("code of a Grassmannian element is weakly increasing from 0")
+    lam = tuple(sorted((x for x in ints if x), reverse=True))
+    return grassmannian_of(core_of_bounded(k_conjugate(conjugate(lam), n), n), n)
 
 
 def cmd_convert(args) -> int:
@@ -279,11 +276,13 @@ def cmd_render(args) -> int:
 
 def cmd_kschur(args) -> int:
     b = parse_partition(args.shape)
+    try:
+        poly = k_schur_spin(b, args.n) if args.spin else k_schur(b, args.n)
+    except RecursionError:  # the weight tables recurse about once per unit of degree
+        raise ValueError(f"degree {sum(b)} is too large for the weight-table recursion") from None
     if args.spin:
-        poly = k_schur_spin(b, args.n)
         doc = {f"{format_partition(lam)}|{spin}": c for (lam, spin), c in sorted(poly.coeffs.items())}
     else:
-        poly = k_schur(b, args.n)
         doc = {format_partition(lam): c for lam, c in sorted(poly.coeffs.items())}
     print(dumps(doc))
     return 0
@@ -313,9 +312,7 @@ def cmd_pieri(args) -> int:
 
 def cmd_verify(args) -> int:
     res = run_suite(args.suite, args)
-    for line in res.lines:
-        print(line)
-    for line in res.reports:
+    for line in res.lines + res.reports:
         print(line)
     print("PASS" if res.ok else f"FAIL ({res.counterexample})")
     return 0 if res.ok else 1

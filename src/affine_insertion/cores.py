@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation, reduced_word
+from .affperm import MEMO_SIZE, AffinePermutation, parse_ints, reduced_word
 from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
 
@@ -533,10 +533,5 @@ def format_partition(lam) -> str:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    """Parse '(10,7,4)'; '()' is the empty partition."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"partition text must be parenthesized: {text!r}")
-    inner = text[1:-1].strip().rstrip(",")
-    parts = [int(p) for p in inner.split(",")] if inner else []
-    return check_partition(parts)
+    """Parse '(10,7,4)' (the grammar of parse_ints); '()' is the empty partition."""
+    return check_partition(parse_ints(text, "()"))

@@ -131,7 +131,10 @@ def matrix_from_text(text: str) -> BoundedMatrix:
     """Parse a JSON array-of-arrays or a whitespace grid."""
     text = text.strip()
     if text.startswith("["):
-        rows = json.loads(text)
-        return BoundedMatrix.from_rows(rows)
-    rows = [[int(x) for x in line.split()] for line in text.splitlines() if line.strip()]
+        try:
+            rows = json.loads(text)
+        except RecursionError:
+            raise ValueError("the matrix JSON is nested too deeply") from None
+    else:
+        rows = [[int(x) for x in line.split()] for line in text.splitlines() if line.strip()]
     return BoundedMatrix.from_rows(rows)

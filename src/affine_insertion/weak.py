@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation, simple_reflection
+from .affperm import MEMO_SIZE, AffinePermutation, parse_ints, simple_reflection
 from .chains import StripChain, count_chains, walk_chains, weight_table
 
 __all__ = [
@@ -363,12 +363,8 @@ def format_residue_set(n: int, members) -> str:
 
 
 def parse_residue_set(text: str, n: int) -> frozenset[int]:
-    """Parse '{0,1,3}' with residues in [0, n)."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"residue set text must be braced: {text!r}")
-    inner = text[1:-1].strip()
-    members = [int(p) for p in inner.split(",")] if inner else []
+    """Parse '{0,1,3}' (the grammar of parse_ints) with residues in [0, n)."""
+    members = parse_ints(text, "{}")
     if any(not 0 <= a < n for a in members):
         raise ValueError(f"residues must lie in [0, {n}): {text!r}")
     return normalize_residues(n, members)

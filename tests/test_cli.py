@@ -1,12 +1,21 @@
+import dataclasses
 import gc
+import inspect
 import json
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from affine_insertion import verify
-from affine_insertion.cli import main
+from affine_insertion import cli, clear_caches, symfunc, verify
+from affine_insertion.affperm import parse_window
+from affine_insertion.cli import build_parser, main
+from affine_insertion.cores import parse_partition
+from affine_insertion.insertion import BoundedMatrix
 from affine_insertion.symfunc import NotSymmetric
+from affine_insertion.weak import parse_residue_set
 
 
 def run(capsys, *argv):
@@ -240,6 +249,11 @@ EMPTY_PAIR = {"n": 3, "l": 0, "P": {"inside": "[1,2,3]", "strips": []}, "Q": {"i
     (["verify", "counts", "--n", "3", "--max-m", "0"], None, "--max-m >= 1, got 0"),
     (["verify", "rsk-limit", "--n", "3"], None, "--n > entries * dim^2 = 4, got 3"),
     (["verify", "rsk-limit", "--n", "4"], None, "--n > entries * dim^2 = 4, got 4"),
+    (["verify", "cauchy", "--n", "3", "--max", "2"], None, "unrecognized arguments: --max 2"),
+    (["verify", "rsk-limit", "--n", "20", "--l", "1"], None, "unrecognized arguments: --l 1"),
+    (["verify", "counts", "--n", "3", "--samples", "1"], None, "unrecognized arguments: --samples 1"),
+    (["verify", "counts", "--n", "3", "--max", "2"], None, "unrecognized arguments: --max 2"),
+    (["verify", "--n", "3", "pieri"], None, "invalid choice: '3'"),
 ])
 def test_bad_input_exits_2(capsys, tmp_path, argv, pair, message):
     if pair is not None:
@@ -300,3 +314,153 @@ def test_verify_pieri_default_rmax_fits_the_rank(capsys):
     assert rc == 0 and "pieri: 12 (w, r, variant) checks, n=2" in out
     rc, out = run(capsys, "verify", "pieri", "--n", "3", "--max", "2")
     assert rc == 0 and "pieri: 32 (w, r, variant) checks, n=3" in out
+
+
+# A small slice of every suite; a suite added to verify.SUITES without one fails here.
+SUITE_SLICES = {
+    "roundtrip": ["--n", "2", "--max", "2"],
+    "cauchy": ["--n", "3", "--dx", "2", "--vy", "2"],
+    "pieri": ["--n", "3", "--max", "2"],
+    "counts": ["--n", "3", "--max-m", "3"],
+    "rsk-limit": ["--n", "5", "--dim", "2"],
+    "symmetry": ["--n", "3", "--max", "2"],
+    "global-roundtrip": ["--n", "3", "--dim", "2", "--total", "2"],
+}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_every_suite_passes_its_slice_through_the_cli(capsys, suite):
+    rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
+    assert rc == 0 and out.endswith("\nPASS\n")
+
+
+def _psi_changing_e(final, l, psi=verify.psi_with_audit):
+    back, audit = psi(final, l)
+    if back.weak.size + back.e + 1 < back.weak.inside.n:
+        back = dataclasses.replace(back, e=back.e + 1)
+    return back, audit
+
+
+def _uninsert_changing_an_entry(p, q, l, uninsert=verify.affine_uninsert):
+    t, u, m = uninsert(p, q, l)
+    return t, u, BoundedMatrix({**m.entries, (1, 1): m.entries.get((1, 1), 0) + 1})
+
+
+def _count_matrices_off_on_one_key(rows, cols, count=symfunc.count_matrices):
+    return count(rows, cols) + ((rows, cols) == ((1,), (1,)))
+
+
+def _rsk_swapping_two_rows(m, rsk=verify.classical_rsk):
+    p, q = rsk(m)
+    return p[1:2] + p[:1] + p[2:], q
+
+
+# suite -> (module, name, planted replacement); symmetry's plant is test_verify_symmetry_failure_exits_1
+PLANTED_FAULTS = {
+    "roundtrip": (verify, "psi_with_audit", _psi_changing_e),
+    "cauchy": (symfunc, "count_matrices", _count_matrices_off_on_one_key),
+    "pieri": (symfunc, "weak_strips_from", lambda w, r, strips=symfunc.weak_strips_from: strips(w, r)[1:]),
+    "counts": (verify, "count_standard_weak", lambda w, count=verify.count_standard_weak: count(w) + 1),
+    "rsk-limit": (verify, "classical_rsk", _rsk_swapping_two_rows),
+    "global-roundtrip": (verify, "affine_uninsert", _uninsert_changing_an_entry),
+}
+
+
+@pytest.mark.parametrize("suite", [suite for suite in verify.SUITES if suite != "symmetry"])
+def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite):
+    module, name, plant = PLANTED_FAULTS[suite]
+    clear_caches()  # no memo may answer from before the plant, nor keep its answers after
+    monkeypatch.setattr(module, name, plant)
+    try:
+        rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert rc == 1
+    assert re.search(r"^FAIL \(.+\)$", out, re.MULTILINE)
+
+
+def test_each_suite_takes_exactly_its_signature(capsys):
+    pairs = 0
+    for suite, fn in verify.SUITES.items():
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        params = list(inspect.signature(fn).parameters)
+        assert params[0] == "n"
+        expected = {"--n"} | {"--max" if p == "max_len" else "--" + p.replace("_", "-") for p in params[1:]}
+        assert set(re.findall(r"--[a-z-]+", usage)) == expected
+        pairs += len(expected)
+    assert pairs == 26
+
+
+# site -> (parser, its brackets, three entries that its own range checks accept)
+LIST_SITES = {
+    "window": (lambda text: parse_window(text, 3), "[]", (0, 2, 4)),
+    "partition": (parse_partition, "()", (2, 1, 1)),
+    "residue set": (lambda text: parse_residue_set(text, 4), "{}", (0, 1, 3)),
+    "offsets": (lambda text: cli._convert_to_window("offsets", text, 3), "()", (1, -1, 0)),
+    "code": (lambda text: cli._convert_to_window("code", text, 3), "()", (0, 1, 3)),
+}
+# written with [ ], which each site reads as its own pair of brackets
+LIST_TEXTS = [
+    ("[{0}, {1}, {2}]", True),
+    (" [ {0},{1} , {2} , ] ", True),
+    ("{0},{1},{2}", False),
+    ("[{0},,{1},{2}]", False),
+    ("[[{0},{1},{2}]]", False),
+    ("[{0},{1},{2}", False),
+    ("[{0},{1},{2},,]", False),
+    ("[,]", False),
+]
+
+
+@pytest.mark.parametrize("template, accepted", LIST_TEXTS)
+@pytest.mark.parametrize("name", list(LIST_SITES))
+def test_every_integer_list_has_one_grammar(name, template, accepted):
+    site, brackets, entries = LIST_SITES[name]
+    text = template.format(*entries).translate(str.maketrans("[]", brackets))
+    if accepted:
+        site(text)
+    else:
+        with pytest.raises(ValueError):
+            site(text)
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Examples:\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("affins ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])  # parsed only: some examples run for seconds
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["insert", "--n", "3", "--matrix", DEEP_JSON], None),
+    (["render", "--kind", "weak", "--n", "3", "--tableau"], DEEP_JSON),
+    (["insert", "--reverse", "--n", "3", "--pair"], DEEP_JSON),
+], ids=["insert-matrix", "render-tableau", "insert-pair"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, argv, document):
+    if document is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(document)
+        argv = argv + [str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("spin", [False, True])
+def test_kschur_past_the_recursion_limit_exits_2(capsys, monkeypatch, spin):
+    def too_deep(b, n):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "k_schur_spin" if spin else "k_schur", too_deep)
+    assert main(["kschur", "--n", "3", "--shape", "(2,1,1)"] + ["--spin"] * spin) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 4 ") and err.count("\n") == 1
