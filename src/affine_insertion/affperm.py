@@ -56,10 +56,11 @@ class RankMismatch(ValueError):
 
 
 # The bound of every memo in the package.  It is above the working set of
-# every perfbench workload, so they evict nothing: the largest is 25,137
-# weight tables on pieri-cauchy, then 2,201 matrix counts.  The strip
-# outsides hold 460 (strong) on kschur-table and 134 (strong) and 534 (weak)
-# on pieri-cauchy; the insertion workloads ask for none.
+# every perfbench workload, so they evict nothing: the largest is 2,515
+# weight tables on kschur-table, then 2,201 matrix counts and 2,066 weight
+# tables on pieri-cauchy, which holds 273 weak tables.  The strip outsides
+# hold 460 on kschur-table and 134 on pieri-cauchy; the insertion workloads
+# hold at most 453 c_A runs and 128 cores.
 MEMO_SIZE = 1 << 15
 
 
@@ -297,9 +298,9 @@ def dynkin_flip(w: AffinePermutation, l: int = 0) -> AffinePermutation:
     return AffinePermutation(w.n, [l + 1 - w(l + 1 - x) for x in range(1, w.n + 1)])
 
 
-def rotate(w: AffinePermutation) -> AffinePermutation:
-    """The automorphism sending s_i to s_{i+1}; on windows, w(x-1) + 1."""
-    return AffinePermutation(w.n, tuple(w(x - 1) + 1 for x in range(1, w.n + 1)))
+def rotate(w: AffinePermutation, k: int = 1) -> AffinePermutation:
+    """The automorphism sending s_i to s_{i+k}; on windows, w(x-k) + k."""
+    return AffinePermutation(w.n, tuple(w(x - k) + k for x in range(1, w.n + 1)))
 
 
 def translation(beta) -> AffinePermutation:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .affperm import MEMO_SIZE, AffinePermutation, canonical_reflection, right_mult_transposition
-from .chains import StripChain, count_chains, walk_chains, weight_table
+from .chains import StripChain, walk_chains, weight_table
 
 __all__ = [
     "NotACover",
@@ -333,13 +333,13 @@ def strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, l: in
 
 
 def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight, l: int) -> int:
-    """Number of strong tableaux with the given weight composition."""
-    return count_chains(strong_strip_outsides, (l,), inside, outside, weight)
+    """Number of strong tableaux with the given weight composition, zero parts dropped."""
+    return strong_weight_table(inside, outside, l).get(tuple(r for r in weight if r != 0), 0)
 
 
 def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l: int) -> dict:
     """Strong tableau counts per positive weight composition; the memo's own dict."""
-    return weight_table(strong_strip_outsides, (l,), inside, outside, None)
+    return weight_table(strong_strip_outsides, (l,), inside, outside)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -348,7 +348,7 @@ class SpinPolynomial:
 def k_schur_spin(b, n: int) -> SpinPolynomial:
     """Spin-graded monomial expansion: strong tableaux graded by spin."""
     u, e = _grassmannian_from_bounded(b, n), identity(n)
-    table = weight_table(strong_strips_from, (0,), e, u, None, spin_strip)
+    table = weight_table(strong_strips_from, (0,), e, u, spin_strip)
     return SpinPolynomial(
         u.length, {(lam, spin): c for (lam, spin), c in table.items() if tuple(sorted(lam, reverse=True)) == lam}
     )

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .affperm import AffinePermutation, elements_by_length, identity, simple_reflection
+from .affperm import AffinePermutation, elements_by_length, identity, rotate, simple_reflection
 from .insertion import BoundedMatrix, affine_uninsert, classical_rsk, grassmannian_rsk
 from .localrule import InitialTriple, phi_with_audit, psi_with_audit
 from .strong import count_standard_strong, strong_strips_from
@@ -144,21 +144,22 @@ def _bounded_matrices(n: int, dim: int, total: int):
 
 
 def verify_counts(n: int, max_m: int = 4, l: int = 0) -> VerifyResult:
-    """Factorial identity, and for n = 2, 3 the closed-form tableau counts."""
+    """Factorial identity, and for n = 2, 3 the closed-form tableau counts, at l-Grassmannian w."""
     if max_m < 1:
         raise ValueError(f"counts needs --max-m >= 1, got {max_m}")
     res = VerifyResult(True)
     for m in range(1, max_m + 1):
         total = sum(
             count_standard_strong(w, l) * count_standard_weak(w)
-            for w in grassmannians_by_length(n, m)
+            for w in (rotate(w0, l) for w0 in grassmannians_by_length(n, m))
         )
-        if total != math.factorial(m):
+        ok = total == math.factorial(m)
+        if not ok:
             res.fail(f"sum f_strong*f_weak = {total} != {m}! at m={m}")
-        res.lines.append(f"m={m}: sum f_strong*f_weak = {total} = {m}!")
+        res.lines.append(f"m={m}: sum f_strong*f_weak = {total} {'=' if ok else '!='} {m}!")
     if n == 2:
         for m in range(1, max_m + 1):
-            (w,) = grassmannians_by_length(2, m)
+            (w,) = (rotate(w0, l) for w0 in grassmannians_by_length(2, m))
             if count_standard_weak(w) != 1 or count_standard_strong(w, l) != math.factorial(m):
                 res.fail(f"n=2 closed form broke at m={m}")
         res.lines.append("n=2 closed forms: f_weak = 1, f_strong = m!")
@@ -166,7 +167,7 @@ def verify_counts(n: int, max_m: int = 4, l: int = 0) -> VerifyResult:
         for m in range(1, max_m + 1):
             for el in range(m // 2 + 1):
                 b = (2,) * el + (1,) * (m - 2 * el)
-                w = grassmannian_of(core_of_bounded(b, 3), 3)
+                w = rotate(grassmannian_of(core_of_bounded(b, 3), 3), l)
                 if count_standard_weak(w) != math.comb(m // 2, el):
                     res.fail(f"n=3 weak closed form broke at m={m}, l={el}")
                 if count_standard_strong(w, l) != math.factorial(m) // 2 ** (m // 2):

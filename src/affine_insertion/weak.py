@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation, parse_ints, simple_reflection
-from .chains import StripChain, count_chains, walk_chains, weight_table
+from .affperm import MEMO_SIZE, AffinePermutation, identity, parse_ints, simple_reflection
+from .chains import StripChain, walk_chains
 
 __all__ = [
     "FullSet",
@@ -35,7 +35,6 @@ __all__ = [
     "weak_strip_is_valid",
     "weak_strip_length_check",
     "weak_strips_from",
-    "weak_strip_outsides",
     "dual_weak_strips_from",
     "WeakTableau",
     "weak_tableaux",
@@ -248,13 +247,6 @@ def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
     return _strips_from(w, r, cyclically_decreasing, WeakStrip)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def weak_strip_outsides(w: AffinePermutation, r: int) -> tuple[tuple[AffinePermutation, int], ...]:
-    """The outsides of the weak strips of size r with inside w, each with
-    multiplicity 1 (distinct A give distinct c_A * w); memoised per (w, r)."""
-    return tuple((s.outside, 1) for s in weak_strips_from(w, r))
-
-
 @dataclass(frozen=True)
 class DualWeakStrip:
     """Interval w -> v with v * w^{-1} cyclically increasing, length-additive."""
@@ -306,12 +298,31 @@ def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, w
 
     Zero parts are allowed (they force trivial strips) and are dropped.
     """
-    return count_chains(weak_strip_outsides, (), inside, outside, weight, max_size=inside.n - 1)
+    return weak_weight_table(inside, outside).get(tuple(r for r in weight if r != 0), 0)
 
 
 def weak_weight_table(inside: AffinePermutation, outside: AffinePermutation) -> dict:
     """Weak tableau counts per positive weight composition; the memo's own dict."""
-    return weight_table(weak_strip_outsides, (), inside, outside, inside.n - 1)
+    # A chain of strips c_A from v to u, moved right by v^-1, is one from e to x = u v^-1
+    # with the same A: lengths add along the first iff ell(u) = ell(x) + ell(v) and they
+    # add along the second, as prefixes of a length-additive product are length-additive.
+    x = outside * inside.inverse()
+    return _weak_table(x) if x.length == outside.length - inside.length else {}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _weak_table(x: AffinePermutation) -> dict:
+    """Weak tableau counts of shape x/e, from the tables of x c_A^-1 over the first strips
+    e -> c_A; one whose length is not ell(x) - |A| lies on no tableau and is dropped."""
+    table: dict = {} if x.length else {(): 1}
+    for r in range(1, min(x.n - 1, x.length) + 1):
+        for strip in weak_strips_from(identity(x.n), r):
+            y = x * strip.outside.inverse()
+            if y.length == x.length - r:
+                for comp, c in _weak_table(y).items():
+                    key = (r,) + comp
+                    table[key] = table.get(key, 0) + c
+    return table
 
 
 @lru_cache(maxsize=MEMO_SIZE)

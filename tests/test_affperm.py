@@ -233,6 +233,9 @@ def test_rotate():
     for level in elements_by_length(3, 5):
         for w in level:
             assert rotate(w).length == w.length
+            # rotate(w, k) is k rotations, for k of either sign and past n
+            assert rotate(w, 2) == rotate(rotate(w)) == rotate(w, -1) == rotate(w, 5)
+            assert rotate(w, 0) == w == rotate(w, 3)
     # rotate is an automorphism
     a, b = from_reduced_word(3, [0, 1]), from_reduced_word(3, [2, 0])
     assert rotate(a * b) == rotate(a) * rotate(b)

@@ -121,9 +121,9 @@ MEMOS = {
     "strong.strong_strips_from",
     "symfunc.count_matrices",
     "weak._cA_runs",
+    "weak._weak_table",
     "weak.count_standard_weak",
     "weak.dual_weak_strips_from",
-    "weak.weak_strip_outsides",
     "weak.weak_strips_from",
 }
 

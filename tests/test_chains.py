@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from affine_insertion import chains, clear_caches
+from affine_insertion import chains, clear_caches, weak
 from affine_insertion.affperm import AffinePermutation, elements_by_length, identity
 from affine_insertion.cores import grassmannians_by_length
 from affine_insertion.strong import (
@@ -23,7 +23,6 @@ from affine_insertion.weak import (
     WeakStrip,
     WeakTableau,
     count_weak_tableaux,
-    weak_strip_outsides,
     weak_strips_from,
     weak_tableaux,
     weak_weight_table,
@@ -47,16 +46,29 @@ SIDES = {
 
 @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
 def test_outsides_count_the_enumerated_strips(n, max_len):
-    # the mark DP and the weak tuple against the strips themselves, grouped by outside
+    # the mark DP against the strips themselves, grouped by outside
     for w in (w for level in elements_by_length(n, max_len) for w in level):
         for r in range(n + 1):
             for l in range(-1, n + 1):
                 got = strong_strip_outsides(w, r, l)
                 assert len({o for o, _ in got}) == len(got)
                 assert dict(got) == Counter(s.outside for s in strong_strips_from(w, r, l)), (w, r, l)
-            got = weak_strip_outsides(w, r)
-            assert len({o for o, _ in got}) == len(got)
-            assert dict(got) == Counter(s.outside for s in weak_strips_from(w, r)), (w, r)
+
+
+def test_weak_tables_are_keyed_by_one_element():
+    # v -> u has weak tableaux only when ell(u v^-1) = ell(u) - ell(v), and then it
+    # shares the table of u v^-1 over the identity; the memo holds one table per element
+    clear_caches()
+    e = identity(3)
+    elements = [w for level in elements_by_length(3, 5) for w in level]
+    for v in elements:
+        for u in elements:
+            x = u * v.inverse()
+            if x.length == u.length - v.length:
+                assert weak_weight_table(v, u) is weak_weight_table(e, x), (v, u)
+            else:
+                assert weak_weight_table(v, u) == {}, (v, u)
+    assert 0 < weak._weak_table.cache_info().currsize <= len(elements)
 
 
 @pytest.mark.parametrize("n, max_len", [(3, 5), (4, 4)])
@@ -145,9 +157,9 @@ def test_repeated_counts_add_no_cache_entries():
     e, u = identity(4), grassmannians_by_length(4, 3)[0]
     count_strong_tableaux(e, u, (1, 2), 0)
     count_weak_tableaux(e, u, (2, 1))
-    size = chains.weight_table.cache_info().currsize
+    size = chains.weight_table.cache_info().currsize, weak._weak_table.cache_info().currsize
     assert count_strong_tableaux(e, u, (1, 2), 0) == count_strong_tableaux(e, u, (0, 1, 2), 0)
     assert count_weak_tableaux(e, u, (2, 1)) == count_weak_tableaux(e, u, (2, 0, 1))
     assert strong_weight_function(u, e, 0)[(1, 2)] == count_strong_tableaux(e, u, (1, 2), 0)
     assert weak_weight_function(u, e)[(2, 1)] == count_weak_tableaux(e, u, (2, 1))
-    assert chains.weight_table.cache_info().currsize == size
+    assert (chains.weight_table.cache_info().currsize, weak._weak_table.cache_info().currsize) == size

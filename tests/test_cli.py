@@ -328,9 +328,20 @@ SUITE_SLICES = {
 }
 
 
-@pytest.mark.parametrize("suite", list(verify.SUITES))
-def test_every_suite_passes_its_slice_through_the_cli(capsys, suite):
-    rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
+# More slices of one suite, by test id: counts at an l that is not a multiple of n.
+EXTRA_SLICES = {
+    "counts-l1": ("counts", [*SUITE_SLICES["counts"], "--l", "1"]),
+    "counts-l-1": ("counts", [*SUITE_SLICES["counts"], "--l", "-1"]),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, argv",
+    [pytest.param(suite, SUITE_SLICES[suite], id=suite) for suite in verify.SUITES]
+    + [pytest.param(*case, id=name) for name, case in EXTRA_SLICES.items()],
+)
+def test_every_suite_passes_its_slice_through_the_cli(capsys, suite, argv):
+    rc, out = run(capsys, "verify", suite, *argv)
     assert rc == 0 and out.endswith("\nPASS\n")
 
 

@@ -294,7 +294,7 @@ def test_spin_table_collapses_to_the_weight_table(n):
     e = identity(n)
     for d in range(8):
         for u in grassmannians_by_length(n, d):
-            graded = weight_table(strong_strips_from, (0,), e, u, None, spin_strip)
+            graded = weight_table(strong_strips_from, (0,), e, u, spin_strip)
             collapsed = {}
             for (comp, _spin), c in graded.items():
                 collapsed[comp] = collapsed.get(comp, 0) + c
