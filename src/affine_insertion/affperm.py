@@ -57,9 +57,9 @@ class RankMismatch(ValueError):
 
 # The bound of every memo in the package.  It is above the working set of
 # every perfbench workload, so they evict nothing: the largest is 2,515
-# weight tables on kschur-table, then 2,201 matrix counts and 2,066 weight
+# strong tables on kschur-table, then 2,201 matrix counts and 2,066 strong
 # tables on pieri-cauchy, which holds 273 weak tables.  The strip outsides
-# hold 460 on kschur-table and 134 on pieri-cauchy; the insertion workloads
+# hold 501 on kschur-table and 134 on pieri-cauchy; the insertion workloads
 # hold at most 453 c_A runs and 128 cores.
 MEMO_SIZE = 1 << 15
 
@@ -299,7 +299,10 @@ def dynkin_flip(w: AffinePermutation, l: int = 0) -> AffinePermutation:
 
 
 def rotate(w: AffinePermutation, k: int = 1) -> AffinePermutation:
-    """The automorphism sending s_i to s_{i+k}; on windows, w(x-k) + k."""
+    """The automorphism sending s_i to s_{i+k}; on windows, w(x-k) + k.
+    A multiple of n is the identity map, so w itself is returned."""
+    if k % w.n == 0:
+        return w
     return AffinePermutation(w.n, tuple(w(x - k) + k for x in range(1, w.n + 1)))
 
 

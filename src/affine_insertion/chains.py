@@ -4,16 +4,15 @@ Tableaux as chains of strips, for the strong and the weak order alike.
 A tableau of shape outside/inside is a chain of strips from inside to
 outside; its weight is the sequence of strip sizes.  walk_chains follows
 strips_from(w, r, *extra), an order's strips of size r with inside w, where
-extra is (l,) for strong strips and () for weak ones.  weight_table counts
-strong tableaux (weak.py keys weak tables by one element).
+extra is (l,) for strong strips and () for weak ones.  Counting needs no
+walk: strong.py and weak.py each keep their own memoised weight tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation
+from .affperm import AffinePermutation
 
 
 @dataclass(frozen=True)
@@ -59,37 +58,3 @@ def walk_chains(tableau, strips_from, extra, inside, outside, max_size=None):
                 yield from walk(chain + (strip,), strip.outside)
 
     return walk((), inside)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def weight_table(strips_from, extra, inside, outside, grade=None) -> dict:
-    """Number of tableaux of shape outside/inside per positive weight
-    composition; only nonzero counts are keys.  Each shape is computed
-    once, from the tables of the outsides of its first strips: strips_from
-    is an order's outsides_from, so each outside's table counts once per
-    strip reaching it and no strip is built.  With a grade, a function from
-    a strip to an int, strips_from is the strip enumerator itself, since the
-    grade is read per strip, and the keys are (composition, total grade)
-    pairs instead: the grade of a tableau is the sum over its strips.  The dict is the
-    memo's own: callers copy it rather than change it."""
-    budget = outside.length - inside.length
-    if budget <= 0:
-        return {() if grade is None else ((), 0): 1} if inside == outside else {}
-    table: dict = {}
-    # graded or not is decided once per table: the ungraded loop, which the
-    # counting checks run in bulk, does no per-strip work for the grading
-    if grade is None:
-        for r in range(1, budget + 1):
-            for out, m in strips_from(inside, r, *extra):
-                for comp, c in weight_table(strips_from, extra, out, outside).items():
-                    key = (r,) + comp
-                    table[key] = table.get(key, 0) + m * c
-    else:
-        for r in range(1, budget + 1):
-            for strip in strips_from(inside, r, *extra):
-                rest = weight_table(strips_from, extra, strip.outside, outside, grade)
-                g = grade(strip) if rest else 0  # only strips that lie on a tableau are graded
-                for (comp, total), c in rest.items():
-                    key = ((r,) + comp, total + g)
-                    table[key] = table.get(key, 0) + c
-    return table

@@ -48,7 +48,6 @@ __all__ = [
     "strong_cover_cores",
     "spin_of_marked_cover",
     "spin_tableau",
-    "spin_strip",
     "weak_tableau_filling",
     "strong_tableau_filling",
     "render_weak_tableau",
@@ -449,13 +448,6 @@ def spin_tableau(t: StrongTableau) -> int:
         spin_of_marked_cover(mu, lam, t.inside.n, cover.mark)
         for cover, mu, lam in zip(covers, chain, chain[1:])
     )
-
-
-def spin_strip(strip) -> int:
-    """Total spin of one strong strip over a Grassmannian chain: the spin of
-    the one-strip tableau it forms.  Spin is a sum over covers, so the spin
-    of a tableau is the sum of the spins of its strips."""
-    return spin_tableau(StrongTableau(strip.inside, (strip,)))
 
 
 def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:

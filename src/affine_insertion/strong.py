@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
-from .affperm import MEMO_SIZE, AffinePermutation, canonical_reflection, right_mult_transposition
-from .chains import StripChain, walk_chains, weight_table
+from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, canonical_reflection, rotate
+from .affperm import right_mult_transposition
+from .chains import StripChain, walk_chains
 
 __all__ = [
     "NotACover",
@@ -116,6 +117,17 @@ class MarkedStrongCover:
         if right_mult_transposition(w, i, j) != self.outside:
             raise NotACover("outside element does not match w * t_ij")
         object.__setattr__(self, "mark", w(j))
+
+    @cached_property
+    def spin(self) -> int:
+        """c(h - 1) + p: c translates (i + kn, j + kn) straddle l, p of them
+        with k < 0, and h - 1 values between w(i) and w(j) sit left of i.  On
+        0-Grassmannian elements at level 0 that is cores.spin_of_marked_cover:
+        c ribbons of height h, the marked one (p + 1)-th from the top."""
+        w, i, n = self.inside, self.i, self.inside.n
+        p = (self.j - self.l - 1) // n
+        h_1 = sum(1 for v in range(w(i) + 1, self.mark) if w.position_of(v) < i)
+        return ((self.l - i) // n + p + 1) * h_1 + p
 
     def __repr__(self):
         return f"MarkedStrongCover({self.inside} --({self.i},{self.j})@{self.mark}--> {self.outside})"
@@ -271,33 +283,35 @@ _MARK = attrgetter("mark")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def strong_strip_outsides(w: AffinePermutation, r: int, l: int) -> tuple[tuple[AffinePermutation, int], ...]:
-    """The distinct outsides of the strong strips of size r with inside w,
-    each with its number of strips; memoised per (w, r, l).  Builds no
-    strip: counts chains per (element, last mark).  marked_covers_above
-    sorts by mark, so the covers whose mark exceeds the last are a suffix
-    of its tuple; bisection finds where it starts and only it is read.
+def strong_strip_outsides(w: AffinePermutation, r: int, l: int, spin: bool) -> tuple[tuple, ...]:
+    """The distinct (outside, spin) pairs of the strong strips of size r with
+    inside w, each with its number of strips; memoised per argument tuple.
+    Builds no strip: counts chains per (element, last mark, spin), the spin
+    of a strip being the sum of its covers'; without spin it stays 0.
+    marked_covers_above sorts by mark, so the covers whose mark exceeds the
+    last are a suffix of its tuple; bisection finds where it starts.
 
     >>> from .affperm import from_window
-    >>> [(o.window, m) for o, m in strong_strip_outsides(from_window(3, [0, 1, 5]), 1, 0)]
-    [((-1, 1, 6), 2), ((-2, 3, 5), 1)]
+    >>> w = from_window(3, [0, 1, 5])
+    >>> [(o.window, s, m) for spin in (False, True) for o, s, m in strong_strip_outsides(w, 1, 0, spin)]
+    [((-1, 1, 6), 0, 2), ((-2, 3, 5), 0, 1), ((-1, 1, 6), 0, 1), ((-2, 3, 5), 1, 1), ((-1, 1, 6), 1, 1)]
     """
     if r < 0:
         return ()
-    states = {(w, None): 1}
+    states = {(w, None, 0): 1}
     for _ in range(r):
         nxt: dict = {}
-        for (x, floor), m in states.items():
+        for (x, floor, s), m in states.items():
             covers = marked_covers_above(x, l)
             start = 0 if floor is None else bisect_right(covers, floor, key=_MARK)
             for c in covers[start:]:
-                state = c.outside, c.mark
+                state = c.outside, c.mark, s + c.spin if spin else s
                 nxt[state] = nxt.get(state, 0) + m
         states = nxt
     outs: dict = {}
-    for (x, _), m in states.items():
-        outs[x] = outs.get(x, 0) + m
-    return tuple(outs.items())
+    for (x, _, s), m in states.items():
+        outs[x, s] = outs.get((x, s), 0) + m
+    return tuple((x, s, m) for (x, s), m in outs.items())
 
 
 def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
@@ -339,7 +353,30 @@ def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation,
 
 def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l: int) -> dict:
     """Strong tableau counts per positive weight composition; the memo's own dict."""
-    return weight_table(strong_strip_outsides, (l,), inside, outside)
+    if inside.n != outside.n:
+        raise RankMismatch(f"rank {inside.n} vs {outside.n}")
+    # rotate(w, k) conjugates by x -> x + k, so it maps w * t_ij to rotate(w, k) * t_(i+k)(j+k):
+    # the marked covers at l go to those at l + k, marks shifted by k and so kept in order.
+    return _strong_table(rotate(inside, -l), rotate(outside, -l), False).get(0, {})
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _strong_table(inside: AffinePermutation, outside: AffinePermutation, spin: bool) -> dict:
+    """Strong tableau counts of shape outside/inside at level 0 per total spin (0 alone
+    without spin), then per positive weight composition: from the tables of the outsides
+    of the first strips, each counted once per strip reaching it with that spin."""
+    budget = outside.length - inside.length
+    if budget <= 0:
+        return {0: {(): 1}} if inside == outside else {}
+    table: dict = {}
+    for r in range(1, budget + 1):
+        for out, s, m in strong_strip_outsides(inside, r, 0, spin):
+            for t, counts in _strong_table(out, outside, spin).items():
+                row = table.setdefault(s + t, {})
+                for comp, c in counts.items():
+                    key = (r,) + comp
+                    row[key] = row.get(key, 0) + m * c
+    return table
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -19,9 +19,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .affperm import MEMO_SIZE, AffinePermutation, identity
-from .chains import weight_table
-from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions, spin_strip
-from .strong import count_strong_tableaux, strong_strips_from, strong_weight_table
+from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
+from .strong import _strong_table, count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import (
     count_weak_tableaux,
     dual_weak_strips_from,
@@ -346,12 +345,12 @@ class SpinPolynomial:
 
 
 def k_schur_spin(b, n: int) -> SpinPolynomial:
-    """Spin-graded monomial expansion: strong tableaux graded by spin."""
-    u, e = _grassmannian_from_bounded(b, n), identity(n)
-    table = weight_table(strong_strips_from, (0,), e, u, spin_strip)
-    return SpinPolynomial(
-        u.length, {(lam, spin): c for (lam, spin), c in table.items() if tuple(sorted(lam, reverse=True)) == lam}
-    )
+    """Spin-graded monomial expansion: strong tableaux graded by spin, the
+    sum of the spins of their marked covers (MarkedStrongCover.spin)."""
+    u = _grassmannian_from_bounded(b, n)
+    table = _strong_table(identity(n), u, True).items()
+    coeffs = {(lam, s): c for s, row in table for lam, c in row.items() if sorted(lam, reverse=True) == list(lam)}
+    return SpinPolynomial(u.length, coeffs)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import affine_insertion
 import affine_insertion.cli  # noqa: F401  (loads the remaining submodules for _package_memos)
 from affine_insertion import affperm, clear_caches
 from affine_insertion.affperm import MEMO_SIZE, elements_by_length
-from affine_insertion.chains import weight_table
 from affine_insertion.cores import (
     NotACover,
     _spin_of_cover,
@@ -23,6 +22,7 @@ from affine_insertion.cores import (
     spin_of_marked_cover,
 )
 from affine_insertion.strong import (
+    _strong_table,
     count_standard_strong,
     marked_covers_above,
     strong_strip_outsides,
@@ -111,10 +111,10 @@ def _package_memos():
 
 MEMOS = {
     "affperm._length",
-    "chains.weight_table",
     "cores._spin_of_cover",
     "cores.core_of",
     "cores.grassmannians_by_length",
+    "strong._strong_table",
     "strong.count_standard_strong",
     "strong.marked_covers_above",
     "strong.strong_strip_outsides",
@@ -146,6 +146,7 @@ def test_clear_caches_empties_every_memo():
     count_standard_strong(w, 0)
     count_standard_weak(w)
     core_of(w)
+    spin_of_marked_cover((2,), (2, 1, 1), 3, 0)
     assert all(m.cache_info().currsize > 0 for m in memos), [m.__name__ for m in memos if not m.cache_info().currsize]
     assert affperm._length.cache_info().currsize > 0
     clear_caches()
@@ -157,12 +158,12 @@ def test_kschur_computes_each_neighbourhood_once():
     clear_caches()
     b = (3, 3, 2, 2, 1)
     terms = sorted([list(lam), c] for lam, c in k_schur(b, 4).coeffs.items())
-    for memo in (marked_covers_above, strong_strips_from, weight_table):
+    for memo in (marked_covers_above, strong_strips_from, _strong_table):
         info = memo.cache_info()
         assert info.misses == info.currsize, memo.__name__  # nothing computed twice, nothing evicted
     # one table per shape asks each strip neighbourhood once; covers and tables are shared
     assert strong_strips_from.cache_info().hits == 0
-    assert marked_covers_above.cache_info().hits > 0 and weight_table.cache_info().hits > 0
+    assert marked_covers_above.cache_info().hits > 0 and _strong_table.cache_info().hits > 0
     digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
     assert digest == json.loads(DIGESTS_PATH.read_text())["plain n=4 [3, 3, 2, 2, 1]"]
 

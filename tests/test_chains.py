@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from affine_insertion import chains, clear_caches, weak
-from affine_insertion.affperm import AffinePermutation, elements_by_length, identity
+from affine_insertion import clear_caches, strong, weak
+from affine_insertion.affperm import AffinePermutation, RankMismatch, elements_by_length, identity
 from affine_insertion.cores import grassmannians_by_length
 from affine_insertion.strong import (
     InvalidStrongStrip,
@@ -46,13 +46,37 @@ SIDES = {
 
 @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
 def test_outsides_count_the_enumerated_strips(n, max_len):
-    # the mark DP against the strips themselves, grouped by outside
+    # the mark DP against the strips themselves, grouped by outside and by (outside, spin)
     for w in (w for level in elements_by_length(n, max_len) for w in level):
         for r in range(n + 1):
             for l in range(-1, n + 1):
-                got = strong_strip_outsides(w, r, l)
-                assert len({o for o, _ in got}) == len(got)
-                assert dict(got) == Counter(s.outside for s in strong_strips_from(w, r, l)), (w, r, l)
+                strips = strong_strips_from(w, r, l)
+                for spin, key in [
+                    (False, lambda s: (s.outside, 0)),
+                    (True, lambda s: (s.outside, sum(c.spin for c in s.covers))),
+                ]:
+                    got = strong_strip_outsides(w, r, l, spin)
+                    assert len({(o, t) for o, t, _ in got}) == len(got)
+                    assert {(o, t): m for o, t, m in got} == Counter(map(key, strips)), (w, r, l, spin)
+
+
+def test_strong_tables_at_level_l_are_the_rotated_level_0_tables():
+    # against the walked tableaux at level l itself, so the rotation is not assumed
+    elements = [w for level in elements_by_length(3, 5) for w in level]
+    pairs = [(v, u, l) for l in range(-2, 4) for v in elements for u in elements if u.length > v.length]
+    nonzero = 0
+    for v, u, l in pairs:
+        walked = Counter(t.weight() for t in strong_tableaux(v, u, l))
+        assert strong_weight_table(v, u, l) == walked, (v, u, l)
+        nonzero += bool(walked)
+    assert (len(pairs), nonzero) == (4860, 1464)
+    # levels congruent mod n share one memoised table: rotate by a multiple of n is w itself
+    clear_caches()
+    v, u = elements[1], elements[-1]
+    table = strong_weight_table(v, u, 1)
+    size = strong._strong_table.cache_info().currsize
+    assert strong_weight_table(v, u, 4) == strong_weight_table(v, u, -2) == table
+    assert strong._strong_table.cache_info().currsize == size
 
 
 def test_weak_tables_are_keyed_by_one_element():
@@ -150,6 +174,20 @@ def test_impossible_weights_count_zero():
     assert count_strong_tableaux(e, top, (4,), 0) == 1 and count_weak_tableaux(e, top, (4,)) == 0
 
 
+def test_mixed_ranks_raise():
+    # a shape needs an inside and an outside of one rank, on either side
+    e3, e4 = identity(3), identity(4)
+    for call in [
+        lambda: count_strong_tableaux(e3, e4, (), 0),
+        lambda: strong_weight_table(e4, e3, 1),
+        lambda: strong_weight_function(e4, e3, 0),
+        lambda: count_weak_tableaux(e3, e4, ()),
+        lambda: weak_weight_table(e4, e3),
+    ]:
+        with pytest.raises(RankMismatch):
+            call()
+
+
 def test_repeated_counts_add_no_cache_entries():
     # each order passes one module-level enumerator, so a repeated count is all hits,
     # and the weight functions read the tables the counts built
@@ -157,9 +195,9 @@ def test_repeated_counts_add_no_cache_entries():
     e, u = identity(4), grassmannians_by_length(4, 3)[0]
     count_strong_tableaux(e, u, (1, 2), 0)
     count_weak_tableaux(e, u, (2, 1))
-    size = chains.weight_table.cache_info().currsize, weak._weak_table.cache_info().currsize
+    size = strong._strong_table.cache_info().currsize, weak._weak_table.cache_info().currsize
     assert count_strong_tableaux(e, u, (1, 2), 0) == count_strong_tableaux(e, u, (0, 1, 2), 0)
     assert count_weak_tableaux(e, u, (2, 1)) == count_weak_tableaux(e, u, (2, 0, 1))
     assert strong_weight_function(u, e, 0)[(1, 2)] == count_strong_tableaux(e, u, (1, 2), 0)
     assert weak_weight_function(u, e)[(2, 1)] == count_weak_tableaux(e, u, (2, 1))
-    assert (chains.weight_table.cache_info().currsize, weak._weak_table.cache_info().currsize) == size
+    assert (strong._strong_table.cache_info().currsize, weak._weak_table.cache_info().currsize) == size

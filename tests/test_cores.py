@@ -237,6 +237,19 @@ def test_spin():
     assert spin_of_marked_cover((2,), (2, 1, 1), 3, desc.mark_options[0]) == 1
 
 
+def test_closed_form_cover_spin_equals_the_ribbon_spin():
+    # MarkedStrongCover.spin reads the window; spin_of_marked_cover reads the ribbons of the cores
+    checked = 0
+    for n, max_len in [(3, 20), (4, 16), (5, 13), (6, 11)]:
+        for d in range(max_len + 1):
+            for w in grassmannians_by_length(n, d):
+                for c in marked_covers_above(w, 0):
+                    assert c.outside.is_grassmannian(0), c  # level-0 covers stay Grassmannian
+                    assert c.spin == spin_of_marked_cover(core_of(w), core_of(c.outside), n, c.mark), c
+                    checked += 1
+    assert checked == 4976
+
+
 def test_spin_tableau_fixture():
     from affine_insertion.insertion import BoundedMatrix, grassmannian_rsk
 

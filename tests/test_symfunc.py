@@ -17,19 +17,16 @@ from affine_insertion.affperm import (
     identity,
     rotate,
 )
-from affine_insertion.chains import weight_table
 from affine_insertion.cores import (
-    _spin_of_cover,
     conjugate,
     core_of_bounded,
     grassmannian_of,
     grassmannians_by_length,
     k_conjugate,
     partitions,
-    spin_strip,
     spin_tableau,
 )
-from affine_insertion.strong import StrongTableau, strong_strips_from, strong_weight_table
+from affine_insertion.strong import StrongTableau, _strong_table, strong_strips_from, strong_weight_table
 from affine_insertion.symfunc import (
     NotSymmetric,
     SingularSystem,
@@ -294,20 +291,20 @@ def test_spin_table_collapses_to_the_weight_table(n):
     e = identity(n)
     for d in range(8):
         for u in grassmannians_by_length(n, d):
-            graded = weight_table(strong_strips_from, (0,), e, u, spin_strip)
+            graded = _strong_table(e, u, True)
             collapsed = {}
-            for (comp, _spin), c in graded.items():
-                collapsed[comp] = collapsed.get(comp, 0) + c
+            for row in graded.values():
+                for comp, c in row.items():
+                    collapsed[comp] = collapsed.get(comp, 0) + c
             assert collapsed == strong_weight_table(e, u, 0), u
 
 
-def test_k_schur_spin_at_degree_11_computes_each_cover_spin_once():
+def test_k_schur_spin_at_degree_11_builds_no_strip():
     clear_caches()
     sp = k_schur_spin((3, 3, 2, 2, 1), 4)
     assert sp.collapse() == k_schur((3, 3, 2, 2, 1), 4)
     assert all(spin >= 0 for (_, spin) in sp.coeffs)
-    info = _spin_of_cover.cache_info()
-    assert info.misses == info.currsize > 0
+    assert strong_strips_from.cache_info().misses == 0  # spin is carried through the mark DP
 
 
 # (sha256, number of terms) of the sorted terms of k_schur(b, n) at degree 16,
