@@ -60,7 +60,8 @@ class RankMismatch(ValueError):
 # strong tables on kschur-table, then 2,201 matrix counts and 2,066 strong
 # tables on pieri-cauchy, which holds 273 weak tables.  The strip outsides
 # hold 501 on kschur-table and 134 on pieri-cauchy; the insertion workloads
-# hold at most 453 c_A runs and 128 cores.
+# hold at most 453 c_A runs and 128 cores.  The products of monomial pairs
+# hold 240 on pieri-cauchy and 192 on the n = 4 all-elements Pieri sweep.
 MEMO_SIZE = 1 << 15
 
 

@@ -233,25 +233,42 @@ def _distinct_perms(items: tuple[int, ...]):
 
 
 def _merged_product(g: SymPolynomial, f: SymPolynomial | WeightPolynomial) -> Counter:
-    """[x^alpha] (g * f) for every alpha reached.  Each part of alpha is the
-    next part of a key beta of f, that part plus a part of a key mu of g, or
-    a part of mu alone; parts of mu are drawn by value, so each alpha - beta'
-    (beta' = beta with zeros inserted) is reached once.  A SymPolynomial f is
-    read by partition, its parts drawn like mu's, and only partitions alpha
-    are produced; equal states (alpha so far, parts left) merge as they grow."""
+    """[x^alpha] (g * f) for every alpha reached: the sum over the keys mu of
+    g and beta of f of cg * cf times the memoised product of the two keys."""
     symmetric, out = isinstance(f, SymPolynomial), Counter()
-    level = {((), beta, mu): cf * cg for beta, cf in f.coeffs.items() for mu, cg in g.coeffs.items()}
+    for beta, cf in f.coeffs.items():
+        for mu, cg in g.coeffs.items():
+            for alpha, m in _key_product(mu, beta, symmetric):
+                out[alpha] += cf * cg * m
+    return out
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _key_product(
+    mu: tuple[int, ...], beta: tuple[int, ...], symmetric: bool
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """What one key mu of g and one key beta of f add to _merged_product, as
+    (alpha, multiplicity) pairs, coefficients left out.  Each part of alpha
+    is the next part of beta, that part plus a part of mu, or a part of mu
+    alone; parts of mu are drawn by value, so each alpha - beta' (beta' =
+    beta with zeros inserted) is reached once.  A symmetric beta is a key of
+    a SymPolynomial, read by partition, its parts drawn like mu's, and only
+    partitions alpha are produced; equal states (alpha so far, parts left)
+    merge as they grow.  Key pairs recur across products (h_r and e_r share
+    the row (1^r)), so each is computed once."""
+    out = []
+    level = {((), beta, mu): 1}
     while level:
         grown = defaultdict(int)
         for (alpha, beta, mu), c in level.items():
             if not beta and not mu:
-                out[alpha] = c
+                out.append((alpha, c))
             for m, mu_rest in _draws(mu, len(mu)):
                 for b, beta_rest in _draws(beta, len(beta) if symmetric else 1):
                     if b + m and not (symmetric and alpha and b + m > alpha[-1]):
                         grown[alpha + (b + m,), beta_rest, mu_rest] += c
         level = grown
-    return out
+    return tuple(out)
 
 
 def _draws(parts: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -485,7 +502,9 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     ]
     reports = {}
     for name, base, g, bounded, targets in rules:
-        lhs, rhs = _merged_product(g, base), sum((Counter(t.coeffs) for t in targets), Counter())
+        lhs, rhs = _merged_product(g, base), Counter()
+        for t in targets:
+            rhs.update(t.coeffs)  # not Counter +, which drops keys summing to <= 0
         keys = sorted(alpha for alpha in lhs.keys() | rhs.keys() if not (bounded and any(a >= n for a in alpha)))
         mism = tuple((alpha, lhs[alpha], rhs[alpha]) for alpha in keys if lhs[alpha] != rhs[alpha])
         reports[name] = PieriReport(not mism, name, d, mism)

@@ -13,7 +13,7 @@ import pytest
 import affine_insertion
 import affine_insertion.cli  # noqa: F401  (loads the remaining submodules for _package_memos)
 from affine_insertion import affperm, clear_caches
-from affine_insertion.affperm import MEMO_SIZE, elements_by_length
+from affine_insertion.affperm import MEMO_SIZE, elements_by_length, identity
 from affine_insertion.cores import (
     NotACover,
     _spin_of_cover,
@@ -28,7 +28,17 @@ from affine_insertion.strong import (
     strong_strip_outsides,
     strong_strips_from,
 )
-from affine_insertion.symfunc import count_matrices, k_schur, k_schur_spin, pieri_checks
+from affine_insertion.symfunc import (
+    _key_product,
+    _merged_product,
+    count_matrices,
+    e_poly,
+    h_poly,
+    k_schur,
+    k_schur_spin,
+    pieri_checks,
+    weak_weight_function,
+)
 from affine_insertion.weak import _cA_runs, count_standard_weak, dual_weak_strips_from, weak_strips_from
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "kschur_digests.json"
@@ -119,6 +129,7 @@ MEMOS = {
     "strong.marked_covers_above",
     "strong.strong_strip_outsides",
     "strong.strong_strips_from",
+    "symfunc._key_product",
     "symfunc.count_matrices",
     "weak._cA_runs",
     "weak._weak_table",
@@ -174,3 +185,27 @@ def test_kschur_counts_strips_by_outside_without_building_them():
     info = strong_strip_outsides.cache_info()
     assert info.hits == 0 and info.misses == info.currsize > 0  # one DP per (inside, r)
     assert strong_strips_from.cache_info().misses == 0
+
+
+def test_pieri_products_are_memoised_per_key_pair():
+    clear_caches()
+    n = 3
+    checks = [(l, w, r) for level in elements_by_length(n, 3) for w in level for l in range(n) for r in range(1, n)]
+    for args in checks:
+        pieri_checks(n, *args)
+    info = _key_product.cache_info()
+    assert info.misses == info.currsize > 0  # nothing computed twice, nothing evicted
+    for args in checks:
+        pieri_checks(n, *args)
+    again = _key_product.cache_info()
+    assert (again.misses, again.currsize) == (info.misses, info.currsize) and again.hits > info.hits
+    # e_r = m_(1^r) is a row of h_r, so its products are all served by the memo
+    clear_caches()
+    f = weak_weight_function(elements_by_length(n, 3)[3][0], identity(n))
+    for r in range(1, n):
+        _merged_product(h_poly(r), f)
+        info = _key_product.cache_info()
+        _merged_product(e_poly(r), f)
+        assert _key_product.cache_info() == info._replace(hits=info.hits + len(f.coeffs))
+    clear_caches()
+    assert _key_product.cache_info().currsize == 0

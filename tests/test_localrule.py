@@ -4,9 +4,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_insertion import localrule
-from affine_insertion.affperm import elements_by_length, from_window, identity, simple_reflection
+from affine_insertion.affperm import (
+    elements_by_length,
+    from_reduced_word,
+    from_window,
+    identity,
+    rotate,
+    simple_reflection,
+)
 from affine_insertion.localrule import (
     CaseTag,
     EndpointMismatch,
@@ -21,6 +30,7 @@ from affine_insertion.localrule import (
     internal_insert,
     phi,
     phi_with_audit,
+    psi,
     psi_with_audit,
     reverse_insert,
 )
@@ -251,6 +261,51 @@ def test_roundtrip_sampled_higher_rank_and_shifted_slot():
             out, _ = phi_with_audit(triple, l)
             back, _ = psi_with_audit(out, l)
             assert back == triple, (n, l, triple)
+
+
+@st.composite
+def _triples(draw, levels):
+    """(l, triple): an initial triple at level l, 3 <= n <= 6, from an element of
+    length <= 5, strips of size <= 3 and any admissible e."""
+    n = draw(st.integers(3, 6))
+    l = draw(levels)
+    w = from_reduced_word(n, draw(st.lists(st.integers(0, n - 1), max_size=5)))
+    sizes = range(min(3, n - 1) + 1)
+    weak = draw(st.sampled_from([s for r in sizes for s in weak_strips_from(w, r)]))
+    strong = draw(st.sampled_from([s for r in sizes for s in strong_strips_from(w, r, l)]))
+    return l, InitialTriple(weak, strong, draw(st.integers(0, n - 1 - weak.size)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_triples(st.integers(-6, 6).filter(bool)))
+def test_psi_inverts_phi_off_level_zero(case):
+    l, triple = case
+    assert psi(phi(triple, l), l) == triple
+
+
+def _rotated_cover(c, k):
+    return MarkedStrongCover(rotate(c.inside, k), c.i + k, c.j + k, rotate(c.outside, k), c.l + k)
+
+
+def _rotated_strips(weak, strong, k):
+    n = weak.inside.n
+    return (
+        WeakStrip(rotate(weak.inside, k), frozenset((a + k) % n for a in weak.residues), rotate(weak.outside, k)),
+        StrongStrip(rotate(strong.inside, k), tuple(_rotated_cover(c, k) for c in strong.covers)),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_triples(st.integers(-3, 5)), st.integers(-6, 6))
+def test_phi_and_psi_commute_with_rotate(case, k):
+    # rotate(., k) sends s_i to s_{i+k}: residues, cover positions and the
+    # level all move by k, so the rule at l + k is the rotated rule at l
+    l, triple = case
+    final = phi(triple, l)
+    rotated_triple = InitialTriple(*_rotated_strips(triple.weak, triple.strong, k), triple.e)
+    rotated_final = FinalPair(*_rotated_strips(final.weak, final.strong, k))
+    assert phi(rotated_triple, l + k) == rotated_final
+    assert psi(rotated_final, l + k) == rotated_triple
 
 
 # The Case B, C and X fixtures above, as thunks for the planted-error test,

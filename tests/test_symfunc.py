@@ -777,3 +777,23 @@ def _reference_pieri_mismatches(n, l, w, r):
         ]
         out[name] = tuple(row for row in rows if row[1] != row[2])
     return out
+
+
+@pytest.mark.parametrize("planted", [-1, 1])
+def test_pieri_planted_key_fails_the_strong_rules_whatever_its_sign(monkeypatch, planted):
+    # every strong-rule target gains the key (9, 9); the right-hand side must
+    # keep its sum even when that is negative, so both strong rules fail on it
+    w = grassmannians_by_length(3, 2)[0]
+    real = symfunc.strong_weight_function
+
+    def plant(u, v, l):
+        wf = real(u, v, l)
+        return wf if u == w else WeightPolynomial(wf.degree, {**wf.coeffs, (9, 9): planted})
+
+    monkeypatch.setattr(symfunc, "strong_weight_function", plant)
+    targets = {"strong": symfunc.weak_strips_from(w, 1), "dual_strong": symfunc.dual_weak_strips_from(w, 1)}
+    assert all(targets.values())
+    reports = pieri_checks(3, 0, w, 1)
+    assert {name: rep.mismatches for name, rep in reports.items() if not rep.ok} == {
+        name: (((9, 9), 0, planted * len(strips)),) for name, strips in targets.items()
+    }
