@@ -37,7 +37,6 @@ from .weak import (
     cyclic_components,
     cyclically_decreasing,
     cyclically_increasing,
-    dual_weak_strips_from,
     weak_strip_between,
     weak_strips_from,
     weak_tableaux,

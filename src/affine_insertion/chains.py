@@ -3,9 +3,9 @@ Tableaux as chains of strips, for the strong and the weak order alike.
 
 A tableau of shape outside/inside is a chain of strips from inside to
 outside; its weight is the sequence of strip sizes.  walk_chains follows
-strips_from(w, r, *extra), an order's strips of size r with inside w, where
-extra is (l,) for strong strips and () for weak ones.  Counting needs no
-walk: strong.py and weak.py each keep their own memoised weight tables.
+strips_from(w, r), an order's strips of size r with inside w (strong strips
+at a fixed level l).  Counting needs no walk: strong.py and weak.py each
+keep their own memoised weight tables.
 """
 
 from __future__ import annotations
@@ -45,16 +45,15 @@ class StripChain:
         return tuple(s.size for s in self.strips)
 
 
-def walk_chains(tableau, strips_from, extra, inside, outside, max_size=None):
-    """Yield the tableaux of shape outside/inside with strip sizes
-    1..max_size (unbounded when None), depth first, smaller strips first."""
+def walk_chains(tableau, strips_from, inside, outside):
+    """Yield the tableaux of shape outside/inside with positive strip sizes,
+    depth first, smaller strips first."""
 
     def walk(chain, cur):
         if cur == outside:
             yield tableau(inside, chain)
-        budget = outside.length - cur.length
-        for r in range(1, (budget if max_size is None else min(max_size, budget)) + 1):
-            for strip in strips_from(cur, r, *extra):
+        for r in range(1, outside.length - cur.length + 1):
+            for strip in strips_from(cur, r):
                 yield from walk(chain + (strip,), strip.outside)
 
     return walk((), inside)

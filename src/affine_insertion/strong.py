@@ -343,7 +343,7 @@ class StrongTableau(StripChain):
 
 def strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, l: int) -> list[StrongTableau]:
     """All strong tableaux from inside to outside with positive strip sizes."""
-    return list(walk_chains(StrongTableau, strong_strips_from, (l,), inside, outside))
+    return list(walk_chains(StrongTableau, lambda w, r: strong_strips_from(w, r, l), inside, outside))
 
 
 def count_strong_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight, l: int) -> int:

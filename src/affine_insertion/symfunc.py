@@ -18,17 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 
-from .affperm import MEMO_SIZE, AffinePermutation, identity
+from .affperm import MEMO_SIZE, AffinePermutation, dynkin_flip, identity
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
 from .strong import _strong_table, count_strong_tableaux, strong_strips_from, strong_weight_table
-from .weak import (
-    count_weak_tableaux,
-    dual_weak_strips_from,
-    weak_order_lower,
-    weak_order_upper,
-    weak_strips_from,
-    weak_weight_table,
-)
+from .weak import count_weak_tableaux, weak_order_lower, weak_order_upper, weak_strips_from, weak_weight_table
 
 __all__ = [
     "SingularSystem",
@@ -475,7 +468,9 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     over the union of the keys of lhs and rhs, in lexicographic order.
 
     strong:      h_r * Strong_w = sum over weak strips w -> z of Strong_z
-    dual strong: e_r * Strong_w = sum over dual weak strips
+    dual strong: e_r * Strong_w = sum over dual weak strips w -> z, z * w^{-1}
+                 cyclically increasing: the flips of the weak strips from
+                 dynkin_flip(w)
     weak:        h_r * Weak_w   = sum over strong strips from w   (in the
                  bounded quotient: compositions with all parts < n)
     dual weak:   e_r * Weak_w   = sum over strong strips from w^{-1},
@@ -489,12 +484,15 @@ def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, Pier
     weak_w = weak_weight_function(w, e)
 
     h_r, e_r = h_poly(r), e_poly(r)
+    # dynkin_flip (s_i -> s_{-i}) keeps lengths and maps c_{-A} to c~_A, the increasing product:
+    # so w -> c~_A w adds length iff flip(w) -> c_{-A} flip(w) does, and the flips of the weak
+    # strips from flip(w) are the dual strips from w.
     # (name, base, multiplier, bounded quotient, targets), in the order reported
     rules = [
         ("strong", strong_w, h_r, False,
          [strong_weight_function(s.outside, e, l) for s in weak_strips_from(w, r)]),
         ("dual_strong", strong_w, e_r, False,
-         [strong_weight_function(s.outside, e, l) for s in dual_weak_strips_from(w, r)]),
+         [strong_weight_function(dynkin_flip(s.outside), e, l) for s in weak_strips_from(dynkin_flip(w), r)]),
         ("weak", weak_w, h_r, True,
          [weak_weight_function(s.outside, e) for s in strong_strips_from(w, r, l)]),
         ("dual_weak", weak_w, e_r, True,

@@ -52,8 +52,11 @@ class VerifyResult:
 
 
 def _roundtrip_case(triple: InitialTriple, l: int) -> str | None:
-    out, _ = phi_with_audit(triple, l)
-    back, _ = psi_with_audit(out, l)
+    try:
+        out, _ = phi_with_audit(triple, l)
+        back, _ = psi_with_audit(out, l)
+    except ValueError as exc:  # a broken invariant of the rule, not bad input
+        return f"roundtrip raised at {triple}: {exc}"
     if back != triple:
         return f"roundtrip broke at {triple}"
     return None
@@ -117,8 +120,12 @@ def verify_global_roundtrip(n: int, dim: int = 2, total: int = 3, l: int = 0) ->
     res = VerifyResult(True)
     count = 0
     for m in _bounded_matrices(n, dim, total):
-        p, q = grassmannian_rsk(m, n, l)
-        t, u, m2 = affine_uninsert(p, q, l)
+        try:
+            p, q = grassmannian_rsk(m, n, l)
+            t, u, m2 = affine_uninsert(p, q, l)
+        except ValueError as exc:
+            res.fail(f"global roundtrip raised at {m.to_rows()}: {exc}")
+            break
         if m2 != m or t.strips or u.strips:
             res.fail(f"global roundtrip broke at {m.to_rows()}")
             break
@@ -221,9 +228,13 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
         m = BoundedMatrix.from_rows([values[k * dim : (k + 1) * dim] for k in range(dim)])
         if not m.entries:
             continue
-        p, q = grassmannian_rsk(m, n, 0)
-        p_rows = _filling_rows(strong_tableau_filling(p), core_of(p.outside), strong=True)
-        q_rows = _filling_rows(weak_tableau_filling(q), core_of(q.outside), strong=False)
+        try:
+            p, q = grassmannian_rsk(m, n, 0)
+            p_rows = _filling_rows(strong_tableau_filling(p), core_of(p.outside), strong=True)
+            q_rows = _filling_rows(weak_tableau_filling(q), core_of(q.outside), strong=False)
+        except ValueError as exc:
+            res.fail(f"limit RSK raised at {m.to_rows()}: {exc}")
+            break
         cp, cq = classical_rsk(m)
         if p_rows != cp or q_rows != cq:
             res.fail(f"limit RSK broke at {m.to_rows()}")

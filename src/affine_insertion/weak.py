@@ -6,6 +6,9 @@ c_A; a weak strip from w is an interval w -> c_A * w in left weak order
 with additive length.  The A-nice / A-bad calculus gives the window of
 c_A and an O(n) strip test; enumeration goes by brute force over subsets
 with a length check, and the two routes are compared in the test suite.
+The dual strips w -> c~_A * w, c~_A the cyclically increasing element,
+have no type of their own: the Dynkin flip maps them to weak strips
+(symfunc.pieri_checks reads them so).
 """
 
 from __future__ import annotations
@@ -30,12 +33,10 @@ __all__ = [
     "step_to",
     "apply_cA",
     "WeakStrip",
-    "DualWeakStrip",
     "weak_strip_between",
     "weak_strip_is_valid",
     "weak_strip_length_check",
     "weak_strips_from",
-    "dual_weak_strips_from",
     "WeakTableau",
     "weak_tableaux",
     "count_weak_tableaux",
@@ -224,56 +225,19 @@ def weak_strip_between(w: AffinePermutation, v: AffinePermutation) -> WeakStrip 
     return WeakStrip(w, members, v) if weak_strip_is_valid(w, members, v) else None
 
 
-def _strips_from(w: AffinePermutation, r: int, element, strip_class) -> tuple:
-    """Brute force over all r-subsets A of Z/nZ: the strips w -> element(n, A) * w
-    whose length is additive."""
+@lru_cache(maxsize=MEMO_SIZE)
+def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
+    """All weak strips of size r with the given inside, by brute force over the
+    r-subsets A of Z/nZ with a length check (r = 0 gives A = {} and c_A = e);
+    memoised per (w, r)."""
     n = w.n
     if not 0 <= r <= n - 1:
         return ()
-    if r == 0:
-        return (strip_class(w, frozenset(), w),)
-    out = []
-    for combo in itertools.combinations(range(n), r):
-        members = frozenset(combo)
-        v = element(n, members) * w
-        if v.length == w.length + r:
-            out.append(strip_class(w, members, v))
-    return tuple(out)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
-    """All weak strips of size r with the given inside; memoised per (w, r)."""
-    return _strips_from(w, r, cyclically_decreasing, WeakStrip)
-
-
-@dataclass(frozen=True)
-class DualWeakStrip:
-    """Interval w -> v with v * w^{-1} cyclically increasing, length-additive."""
-
-    inside: AffinePermutation
-    residues: frozenset[int]
-    outside: AffinePermutation
-
-    def __post_init__(self):
-        n = self.inside.n
-        object.__setattr__(self, "residues", normalize_residues(n, self.residues))
-        ok = (
-            cyclically_increasing(n, self.residues) * self.inside == self.outside
-            and self.outside.length == self.inside.length + len(self.residues)
-        )
-        if not ok:
-            raise InvalidStrip(f"{self.inside} -> {self.outside} is not a dual weak strip")
-
-    @property
-    def size(self) -> int:
-        return len(self.residues)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def dual_weak_strips_from(w: AffinePermutation, r: int) -> tuple[DualWeakStrip, ...]:
-    """All dual weak strips of size r with the given inside; memoised per (w, r)."""
-    return _strips_from(w, r, cyclically_increasing, DualWeakStrip)
+    return tuple(
+        WeakStrip(w, a_set, v)
+        for a_set in map(frozenset, itertools.combinations(range(n), r))
+        if (v := cyclically_decreasing(n, a_set) * w).length == w.length + r
+    )
 
 
 @dataclass(frozen=True)
@@ -290,7 +254,7 @@ def weak_tableaux(inside: AffinePermutation, outside: AffinePermutation) -> list
     Weight compositions containing zeros correspond bijectively to these by
     deleting trivial strips, so enumeration is restricted to positive sizes.
     """
-    return list(walk_chains(WeakTableau, weak_strips_from, (), inside, outside, max_size=inside.n - 1))
+    return list(walk_chains(WeakTableau, weak_strips_from, inside, outside))
 
 
 def count_weak_tableaux(inside: AffinePermutation, outside: AffinePermutation, weight) -> int:

@@ -39,7 +39,7 @@ from affine_insertion.symfunc import (
     pieri_checks,
     weak_weight_function,
 )
-from affine_insertion.weak import _cA_runs, count_standard_weak, dual_weak_strips_from, weak_strips_from
+from affine_insertion.weak import _cA_runs, count_standard_weak, weak_strips_from
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "kschur_digests.json"
 
@@ -51,7 +51,7 @@ def test_cached_enumerators_equal_their_bodies(n):
             cases = [(marked_covers_above, (w, l))]
             cases += [(strong_strips_from, (w, r, l)) for r in range(-1, n + 2)]
             if l == 0:
-                cases += [(enum, (w, r)) for enum in (weak_strips_from, dual_weak_strips_from) for r in range(-1, n + 1)]
+                cases += [(weak_strips_from, (w, r)) for r in range(-1, n + 1)]
             for enum, args in cases:
                 got = enum(*args)
                 assert type(got) is tuple, enum.__name__
@@ -134,7 +134,6 @@ MEMOS = {
     "weak._cA_runs",
     "weak._weak_table",
     "weak.count_standard_weak",
-    "weak.dual_weak_strips_from",
     "weak.weak_strips_from",
 }
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from affine_insertion import cli, clear_caches, symfunc, verify
+from affine_insertion import cli, clear_caches, localrule, symfunc, verify
 from affine_insertion.affperm import parse_window
 from affine_insertion.cli import build_parser, main
 from affine_insertion.cores import parse_partition
@@ -389,6 +389,26 @@ def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite):
         clear_caches()
     assert rc == 1
     assert re.search(r"^FAIL \(.+\)$", out, re.MULTILINE)
+
+
+def _step_to_past_each_forward_nice_step(n, a_set, x, pred, step=1, step_to=localrule.step_to):
+    p = step_to(n, a_set, x, pred, step)
+    return p + n if pred is localrule.is_nice and step == 1 else p
+
+
+@pytest.mark.parametrize("suite", ["roundtrip", "global-roundtrip", "rsk-limit"])
+def test_a_raising_plant_fails_its_suite_not_as_bad_input(capsys, monkeypatch, suite):
+    # the local rule then builds no strong cover and raises: a broken
+    # invariant on valid input is a failed verification (1), not bad input (2)
+    clear_caches()
+    monkeypatch.setattr(localrule, "step_to", _step_to_past_each_forward_nice_step)
+    try:
+        rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert rc == 1
+    assert re.search(r"^FAIL \(.+ raised at .+: .+ is not a strong cover\)$", out, re.MULTILINE)
 
 
 def test_each_suite_takes_exactly_its_signature(capsys):

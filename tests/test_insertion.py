@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_insertion import cores, insertion, localrule, strong, symfunc, verify
-from affine_insertion.affperm import from_reduced_word, identity
+from affine_insertion.affperm import from_reduced_word, identity, rotate
 from affine_insertion.cores import core_of, strong_tableau_filling, weak_tableau_filling
 from affine_insertion.insertion import (
     BoundedMatrix,
@@ -21,8 +21,8 @@ from affine_insertion.insertion import (
     grassmannian_rsk,
 )
 from affine_insertion.localrule import InitialTriple, phi
-from affine_insertion.strong import StrongTableau, strong_strips_from
-from affine_insertion.weak import WeakTableau, weak_strips_from
+from affine_insertion.strong import MarkedStrongCover, StrongStrip, StrongTableau, strong_strips_from
+from affine_insertion.weak import WeakStrip, WeakTableau, weak_strips_from
 
 GROWTH_MATRIX = BoundedMatrix.from_rows([[0, 1, 0], [0, 0, 2], [1, 0, 1]])
 
@@ -291,3 +291,31 @@ def test_uninsert_inverts_insert_property(case):
     t_tab, u_tab = StrongTableau(u, ()), WeakTableau(u, ())
     p, q = affine_insert(u, u, t_tab, u_tab, m, l)
     assert affine_uninsert(p, q, l) == (t_tab, u_tab, m)
+
+
+def _rotated_pair(p, q, k):
+    """(P, Q) under rotate(., k), which sends s_i to s_{i+k}: elements, cover
+    positions, levels and residues all move by k."""
+    n = p.inside.n
+
+    def covers(strip):
+        return tuple(MarkedStrongCover(rotate(c.inside, k), c.i + k, c.j + k, rotate(c.outside, k), c.l + k) for c in strip.covers)
+
+    return (
+        StrongTableau(rotate(p.inside, k), tuple(StrongStrip(rotate(s.inside, k), covers(s)) for s in p.strips)),
+        WeakTableau(
+            rotate(q.inside, k),
+            tuple(WeakStrip(rotate(s.inside, k), {(a + k) % n for a in s.residues}, rotate(s.outside, k)) for s in q.strips),
+        ),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_skew_insertion_inputs(), st.integers(-6, 6))
+def test_insert_commutes_with_rotate(case, k):
+    # every cell's local rule at l + k is the rotated rule at l, so inserting
+    # from the rotated border at level l + k gives the rotated pair
+    n, l, u, m = case
+    p, q = affine_insert(u, u, StrongTableau(u, ()), WeakTableau(u, ()), m, l)
+    v = rotate(u, k)
+    assert affine_insert(v, v, StrongTableau(v, ()), WeakTableau(v, ()), m, l + k) == _rotated_pair(p, q, k)

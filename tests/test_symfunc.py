@@ -48,6 +48,7 @@ from affine_insertion.symfunc import (
     weak_schur,
     weak_weight_function,
 )
+from affine_insertion.weak import cyclically_increasing
 
 
 def c0m(n, m):
@@ -736,8 +737,7 @@ def test_unknown_basis_rejected(call):
 
 
 @pytest.mark.parametrize("enumerator, failing", [
-    ("weak_strips_from", {"strong"}),
-    ("dual_weak_strips_from", {"dual_strong"}),
+    ("weak_strips_from", {"strong", "dual_strong"}),
     ("strong_strips_from", {"weak", "dual_weak"}),
 ])
 def test_pieri_dropped_strip_fails_only_its_rules(monkeypatch, enumerator, failing):
@@ -748,21 +748,32 @@ def test_pieri_dropped_strip_fails_only_its_rules(monkeypatch, enumerator, faili
     reports = pieri_checks(3, 0, w, 1)
     assert list(reports) == ["strong", "dual_strong", "weak", "dual_weak"]
     assert {name for name, rep in reports.items() if not rep.ok} == failing
+    # the dual strong rule reads the weak strips from the flip of w, so it loses
+    # the flip of the last one's outside
+    lost = [dynkin_flip(full(dynkin_flip(w), 1)[-1].outside)] if enumerator == "weak_strips_from" else []
+    assert all(v in _dual_strip_outsides(w, 1) for v in lost)
     # each report lists exactly the mismatches of the backward check, in its order
-    assert {name: rep.mismatches for name, rep in reports.items()} == _reference_pieri_mismatches(3, 0, w, 1)
+    assert {name: rep.mismatches for name, rep in reports.items()} == _reference_pieri_mismatches(3, 0, w, 1, lost)
     assert all(max(alpha) < 3 for name in ("weak", "dual_weak") for alpha, _, _ in reports[name].mismatches)
 
 
-def _reference_pieri_mismatches(n, l, w, r):
+def _dual_strip_outsides(w, r):
+    """Brute force: the c~_A * w over r-subsets A of Z/nZ, c~_A cyclically
+    increasing, whose length is additive."""
+    outs = (cyclically_increasing(w.n, a) * w for a in itertools.combinations(range(w.n), r))
+    return [v for v in outs if v.length == w.length + r]
+
+
+def _reference_pieri_mismatches(n, l, w, r, lost_duals=()):
     """The mismatches of each Pieri rule the backward way: coefficient by
-    coefficient over compositions(d), the weak rules in the bounded quotient."""
+    coefficient over compositions(d), the weak rules in the bounded quotient,
+    the dual strong rule over the brute-force dual strips less lost_duals."""
     e = identity(n)
     strong, weak = symfunc.strong_weight_function, symfunc.weak_weight_function
+    duals = [v for v in _dual_strip_outsides(w, r) if v not in lost_duals]
     rules = {
         "strong": (strong(w, e, l), h_poly(r), False, [strong(s.outside, e, l) for s in symfunc.weak_strips_from(w, r)]),
-        "dual_strong": (
-            strong(w, e, l), e_poly(r), False, [strong(s.outside, e, l) for s in symfunc.dual_weak_strips_from(w, r)]
-        ),
+        "dual_strong": (strong(w, e, l), e_poly(r), False, [strong(v, e, l) for v in duals]),
         "weak": (weak(w, e), h_poly(r), True, [weak(s.outside, e) for s in symfunc.strong_strips_from(w, r, l)]),
         "dual_weak": (
             weak(w, e), e_poly(r), True, [weak(s.outside.inverse(), e) for s in symfunc.strong_strips_from(w.inverse(), r, l)]
@@ -791,9 +802,28 @@ def test_pieri_planted_key_fails_the_strong_rules_whatever_its_sign(monkeypatch,
         return wf if u == w else WeightPolynomial(wf.degree, {**wf.coeffs, (9, 9): planted})
 
     monkeypatch.setattr(symfunc, "strong_weight_function", plant)
-    targets = {"strong": symfunc.weak_strips_from(w, 1), "dual_strong": symfunc.dual_weak_strips_from(w, 1)}
+    targets = {"strong": symfunc.weak_strips_from(w, 1), "dual_strong": symfunc.weak_strips_from(dynkin_flip(w), 1)}
     assert all(targets.values())
     reports = pieri_checks(3, 0, w, 1)
     assert {name: rep.mismatches for name, rep in reports.items() if not rep.ok} == {
         name: (((9, 9), 0, planted * len(strips)),) for name, strips in targets.items()
     }
+
+
+@pytest.mark.parametrize("plant, failures", [
+    # the dual strong rule then sums the h-rule's strips, which e_1 = h_1 hides at r = 1
+    (lambda w: w, {(3, 1): 0, (3, 2): 6, (4, 1): 0, (4, 2): 7, (4, 3): 7}),
+    (AffinePermutation.inverse, {(3, 1): 12, (3, 2): 10, (4, 1): 15, (4, 2): 15, (4, 3): 12}),
+], ids=["identity", "inverse"])
+def test_pieri_with_a_planted_flip_fails_only_the_dual_strong_rule(monkeypatch, plant, failures):
+    monkeypatch.setattr(symfunc, "dynkin_flip", plant)
+    got = {}
+    for n, r in failures:
+        failing = [
+            {name for name, rep in pieri_checks(n, 0, w, r).items() if not rep.ok}
+            for level in elements_by_length(n, 3)
+            for w in level
+        ]
+        assert set().union(*failing) <= {"dual_strong"}
+        got[n, r] = sum(map(bool, failing))
+    assert got == failures

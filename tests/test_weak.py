@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,6 @@ from affine_insertion.weak import (
     cyclic_components,
     cyclically_decreasing,
     cyclically_increasing,
-    dual_weak_strips_from,
     format_residue_set,
     normalize_residues,
     parse_residue_set,
@@ -175,19 +175,29 @@ def test_weak_grassmannian_inheritance():
                         assert w.is_grassmannian(0)
 
 
+def _dual_strips(w, r):
+    """Brute force: the (A, c~_A * w) over r-subsets A of Z/nZ, c~_A cyclically
+    increasing, whose length is additive."""
+    n = w.n
+    pairs = ((a, cyclically_increasing(n, a) * w) for a in map(frozenset, itertools.combinations(range(n), r)))
+    return [(a, v) for a, v in pairs if v.length == w.length + r]
+
+
 def test_dual_strips_flip_equivalence():
-    # brute force: at n=2 both singleton residue sets add length one, so id
-    # has two dual strips of size one (s_0 and s_1)
-    assert len(dual_weak_strips_from(identity(2), 1)) == 2
-    for level in elements_by_length(3, 4):
-        for w in level:
-            for r in range(3):
-                duals = {(s.residues, s.outside) for s in dual_weak_strips_from(w, r)}
-                flipped = {
-                    (frozenset((-a) % 3 for a in s.residues), dynkin_flip(s.outside))
+    # at n=2 both singleton residue sets add length one, so id has two dual
+    # strips of size one (s_0 and s_1)
+    assert len(_dual_strips(identity(2), 1)) == 2
+    cases = 0
+    for n, max_len in [(2, 6), (3, 6), (4, 5), (5, 4)]:
+        for w in (w for level in elements_by_length(n, max_len) for w in level):
+            for r in range(n):
+                flipped = [
+                    (frozenset((-a) % n for a in s.residues), dynkin_flip(s.outside))
                     for s in weak_strips_from(dynkin_flip(w), r)
-                }
-                assert duals == flipped
+                ]
+                assert Counter(_dual_strips(w, r)) == Counter(flipped), (w, r)
+                cases += 1
+    assert cases == 1332
 
 
 def test_cyclically_increasing():
