@@ -17,8 +17,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
+from operator import add
 
-from .affperm import MEMO_SIZE, AffinePermutation, dynkin_flip, identity
+from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, dynkin_flip, identity
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
 from .strong import _strong_table, count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import count_weak_tableaux, weak_order_lower, weak_order_upper, weak_strips_from, weak_weight_table
@@ -391,9 +392,27 @@ def cauchy_check(
     Compares [x^alpha y^beta] of Omega_n(x,y) * sum_w Strong_{u/w} Weak_{v/w}
     against sum_z Strong_{z/v} Weak_{z/u}, for |alpha| <= dx over
     dx x-variables and vy y-variables.  u = v = id gives the plain identity.
+
+    The box is every (alpha, beta) checked: alpha of total <= dx and beta
+    with parts < n.  The left side is one sparse product, each lhs term times
+    each nonzero Omega_n coefficient in the box, kept where the sum lands in
+    the box; the right side sums, over the z's, the products of their strong
+    and weak tables, read by zero-free keys.  Bad arguments raise ValueError
+    (n < 2, dx < 0, vy < 0) or RankMismatch (u or v not of rank n).
+
+    >>> u, v = AffinePermutation(3, [0, 1, 5]), AffinePermutation(3, [-1, 1, 6])
+    >>> rep = cauchy_check(3, 0, 5, 2, u, v)
+    >>> rep.checked, rep.ok
+    (2268, True)
     """
+    if n < 2:
+        raise ValueError(f"the Cauchy check needs n >= 2, got n = {n}")
+    if dx < 0 or vy < 0:
+        raise ValueError(f"the Cauchy check needs dx, vy >= 0, got dx = {dx}, vy = {vy}")
     u = u if u is not None else identity(n)
     v = v if v is not None else identity(n)
+    if u.n != n or v.n != n:
+        raise RankMismatch(f"the borders have ranks {u.n} and {v.n}, not n = {n}")
     px = max(dx, 1)
 
     alphas = [a for total in range(dx + 1) for a in _bounded_vectors((total,) * px, total)]
@@ -418,41 +437,39 @@ def cauchy_check(
                 if cb:
                     f_coeffs[(alpha, beta)] = f_coeffs.get((alpha, beta), 0) + ca * cb
 
-    max_z = min(v.length + dx, u.length + vy * (n - 1))
-    zs = [z for z in weak_order_upper(u, max(0, max_z - u.length)) if z.length >= v.length]
-
-    # the lhs terms grouped by their alpha-part, the z's by their length gaps
-    # over v and over u, so each alpha filters them once for all betas
-    f_by_alpha: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    # [x^alpha y^beta] of the left side sums cf * Omega(alpha - a1, beta - b1) over the terms
+    # with a1 <= alpha and b1 <= beta.  As alpha runs over the box vectors >= a1, alpha - a1
+    # runs over every box vector of total <= dx - |a1|, and as beta runs over those >= b1,
+    # beta - b1 runs over every box vector with parts < n - b1: so adding cf * Omega(a2, b2)
+    # at (a1 + a2, b1 + b2) for every (a2, b2) of the box, kept where that key lies in the
+    # box, adds each of those products once.
+    omega = [(a2, b2, c) for a2 in alphas for b2 in betas if (c := _omega_coefficient(n, a2, b2))]
+    lhs = dict.fromkeys(((alpha, beta) for alpha in alphas for beta in betas), 0)
     for (a1, b1), cf in f_coeffs.items():
-        f_by_alpha.setdefault(a1, []).append((b1, cf))
-    zs_by_gaps: dict[tuple[int, int], list[AffinePermutation]] = {}
-    for z in zs:
-        zs_by_gaps.setdefault((z.length - v.length, z.length - u.length), []).append(z)
+        for a2, b2, c in omega:
+            key = tuple(map(add, a1, a2)), tuple(map(add, b1, b2))
+            if key in lhs:
+                lhs[key] += cf * c
 
-    checked = 0
+    # [x^alpha y^beta] of the right side: per z, its strong table at the zero-free key of
+    # alpha times its weak table at that of beta; the keys' totals are z's length gaps.
+    max_z = min(v.length + dx, u.length + vy * (n - 1))
+    rhs: Counter = Counter()
+    for z in weak_order_upper(u, max(0, max_z - u.length)):
+        if z.length >= v.length and (weak := weak_weight_table(u, z)):
+            for ka, cs in strong_weight_table(v, z, l).items():
+                for kb, cw in weak.items():
+                    rhs[ka, kb] += cs * cw
+
     mismatches = []
+    keyed_betas = [(beta, tuple(y for y in beta if y)) for beta in betas]
     for alpha in alphas:
-        da = sum(alpha)
-        terms = [
-            (tuple(x - y for x, y in zip(alpha, a1)), b1, cf)
-            for a1, group in f_by_alpha.items()
-            if all(x >= y for x, y in zip(alpha, a1))
-            for b1, cf in group
-        ]
-        for beta in betas:
-            lhs = 0
-            for a2, b1, cf in terms:
-                if all(x >= y for x, y in zip(beta, b1)):
-                    lhs += cf * _omega_coefficient(n, a2, tuple(x - y for x, y in zip(beta, b1)))
-            rhs = 0
-            for z in zs_by_gaps.get((da, sum(beta)), ()):
-                if cs := count_strong_tableaux(v, z, alpha, l):
-                    rhs += cs * count_weak_tableaux(u, z, beta)
-            checked += 1
-            if lhs != rhs:
-                mismatches.append((alpha, beta, lhs, rhs))
-    return CauchyReport(not mismatches, checked, tuple(mismatches))
+        ka = tuple(x for x in alpha if x)
+        for beta, kb in keyed_betas:
+            left, right = lhs[alpha, beta], rhs[ka, kb]
+            if left != right:
+                mismatches.append((alpha, beta, left, right))
+    return CauchyReport(not mismatches, len(lhs), tuple(mismatches))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from affine_insertion import clear_caches, symfunc
 from affine_insertion.affperm import (
     AffinePermutation,
+    RankMismatch,
     dynkin_flip,
     elements_by_length,
     from_reduced_word,
@@ -432,6 +433,50 @@ def test_cauchy_planted_omega_gives_the_reference_mismatches(monkeypatch):
     for args in [dict(dx=3, vy=2), dict(dx=4, vy=2, u=u, v=v)]:
         got = cauchy_check(3, 0, **args)
         assert not got.ok and got == _cauchy_reference(3, 0, **args), args
+
+
+def _short_elements(n):
+    """The elements of length <= 3 at rank n, shortest first."""
+    return list(itertools.chain.from_iterable(elements_by_length(n, 3)))
+
+
+@st.composite
+def _cauchy_inputs(draw):
+    n = draw(st.sampled_from((3, 4)))
+    elements = st.sampled_from(_short_elements(n))
+    u, v = draw(elements), draw(elements)
+    return dict(n=n, l=draw(st.integers(0, n - 1)), dx=draw(st.integers(0, 4)), vy=draw(st.integers(0, 2)), u=u, v=v)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_cauchy_inputs())
+def test_cauchy_check_equals_the_reference_loop_on_random_borders(args):
+    assert cauchy_check(**args) == _cauchy_reference(**args)
+
+
+def test_cauchy_sweep_at_n3_passes_on_every_border_pair():
+    elements = _short_elements(3)
+    reports = [cauchy_check(3, l, 3, 2, u, v) for u in elements for v in elements for l in range(3)]
+    assert len(reports) == 1083
+    assert all(rep.ok for rep in reports)
+    assert sum(rep.checked for rep in reports) == 1083 * 180
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (dict(n=1), ValueError),
+        (dict(n=3, dx=-1), ValueError),
+        (dict(n=3, vy=-1), ValueError),
+        (dict(n=3, dx=2, vy=1, u=identity(4), v=identity(4)), RankMismatch),
+        (dict(n=3, u=identity(4)), RankMismatch),
+        (dict(n=3, v=identity(2)), RankMismatch),
+    ],
+    ids=["n<2", "dx<0", "vy<0", "both ranks", "u rank", "v rank"],
+)
+def test_cauchy_check_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        cauchy_check(**args)
 
 
 def test_expand_h_in_strong_basis():
