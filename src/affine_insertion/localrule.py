@@ -4,12 +4,17 @@ Case X) and its inverse (Cases RA/RB/RC/RX).
 
 A forward run turns an initial triple (W, S, e) anchored at a common inside
 element into a final pair (W', S'); the reverse run recovers the triple.
-Every step rebuilds its output strips through the validating constructors,
-so a violated invariant raises instead of propagating a wrong answer; the
-square identity x = v * t_ab of each new cover is MarkedStrongCover's own
-check, which raises NotACover.  Case tags are recorded in an audit trail
-for debugging and for the roundtrip tests' factorization into irreducible
-step sequences.
+Every step builds its new strips and covers through the validating
+constructors, so a violated invariant raises instead of propagating a wrong
+answer.  The one exception is a cover the step was given: with an empty
+weak strip, Cases A and RA hand it on as it is when it is marked at l,
+since the rebuilt cover would be equal field for field.  Going forward the
+new corner is x = c_A' * u, and the square identity x = v * t_ab is
+MarkedStrongCover's check (NotACover).  Going back the new inside corner is
+read off the strong side, w = u * t_ab, and the square identity
+c_A' * w = v is WeakStrip's check (InvalidStrip).  Case tags are recorded
+in an audit trail for debugging and for the roundtrip tests' factorization
+into irreducible step sequences.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 from .affperm import AffinePermutation, right_mult_transposition
 from .strong import MarkedStrongCover, StrongStrip
-from .weak import WeakStrip, cyclically_decreasing, cyclically_increasing, is_bad, is_nice, step_to
+from .weak import WeakStrip, cyclically_decreasing, is_bad, is_nice, step_to
 
 __all__ = [
     "CaseTag",
@@ -207,9 +212,13 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     i, j = cover.i, cover.j
 
     if commutes_initial(weak, cover):
-        # Case A: the reflection passes through untouched.
-        x = right_mult_transposition(v, i, j)
-        new_cover = MarkedStrongCover(v, i, j, x, l)
+        # Case A: the reflection passes through untouched.  With A empty,
+        # v = inside(C) and v * t_ij = u, so a cover marked at l is reused.
+        if not a_set and cover.l == l:
+            x, new_cover = u, cover
+        else:
+            x = right_mult_transposition(v, i, j)
+            new_cover = MarkedStrongCover(v, i, j, x, l)
         out = FinalPair(WeakStrip(u, a_set, x), s1.appended(new_cover))
         return out, CaseTag.A
 
@@ -297,7 +306,13 @@ def phi(triple: InitialTriple, l: int) -> FinalPair:
 
 
 def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple[InitialPair, CaseTag]:
-    """Undo one forward step at the marked cover C' = (v -> x)."""
+    """Undo one forward step at the marked cover C' = (v -> x).
+
+    The new cover ends at u = inside(W') in Cases RA and RB and at u' in
+    Case RC; its inside w is that end times the cover's reflection, and the
+    weak strip (w, A, v) checks the square c_A * w = v.  With A' empty,
+    Case RA hands on C' itself when it is marked at l.
+    """
     weak, s1 = pair.weak, pair.strong
     if weak.outside != cover.outside:
         raise PreconditionViolation("reverse insertion needs outside(W') = outside(C')")
@@ -308,9 +323,13 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     a, b = cover.i, cover.j
 
     if commutes_final(weak, cover):
-        # Case RA
-        w = cyclically_increasing(n, a_set) * v
-        new_cover = MarkedStrongCover(w, a, b, u, l)
+        # Case RA: with A' empty, u = outside(C) and u * t_ab = v, so a cover
+        # marked at l is reused.
+        if not a_set and cover.l == l:
+            w, new_cover = v, cover
+        else:
+            w = right_mult_transposition(u, a, b)
+            new_cover = MarkedStrongCover(w, a, b, u, l)
         return InitialPair(WeakStrip(w, a_set, v), s1.prepended(new_cover)), CaseTag.RA
 
     if is_nice(n, a_set, u(b)):
@@ -336,7 +355,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
         i, j = u.position_of(q), u.position_of(p)
-        w = cyclically_increasing(n, a_new) * v
+        w = right_mult_transposition(u, i, j)
         new_cover = MarkedStrongCover(w, i, j, u, l)
         return InitialPair(WeakStrip(w, a_new, v), s1.prepended(new_cover)), CaseTag.RB
 
@@ -349,7 +368,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         z = s1.first.outside
         j_plus = z.position_of(p)
         u_prime = right_mult_transposition(z, i1, j_plus)
-        w = cyclically_increasing(n, a_new) * v
+        w = right_mult_transposition(u_prime, i1, j1)
         spliced = StrongStrip(
             w,
             (MarkedStrongCover(w, i1, j1, u_prime, l), MarkedStrongCover(u_prime, i1, j_plus, z, l))

@@ -174,10 +174,11 @@ class WeakStrip:
 
     def __post_init__(self):
         n = self.inside.n
-        object.__setattr__(self, "residues", normalize_residues(n, self.residues))
+        a_set = normalize_residues(n, self.residues)
+        object.__setattr__(self, "residues", a_set)
         if self.outside.n != n:
             raise InvalidStrip("inside and outside rank differ")
-        if not weak_strip_is_valid(self.inside, self.residues, self.outside):
+        if not _is_weak_strip(self.inside, a_set, self.outside):
             raise InvalidStrip(
                 f"{self.inside} -> {self.outside} is not a weak strip for A={sorted(self.residues)}"
             )
@@ -198,8 +199,12 @@ def weak_strip_is_valid(w: AffinePermutation, members, v: AffinePermutation) -> 
     to w's window, so no product is built.  Consecutive nice integers
     a < b with b > a + 1 are a run (s, k) of A: a = s and b = s + k + 1.
     """
+    return _is_weak_strip(w, normalize_residues(w.n, members), v)
+
+
+def _is_weak_strip(w: AffinePermutation, a_set: frozenset[int], v: AffinePermutation) -> bool:
+    """weak_strip_is_valid on a residue set already normalized."""
     n = w.n
-    a_set = normalize_residues(n, members)
     runs, shifts = _cA_runs(n, a_set)
     if v.window != tuple([x + shifts[x % n] for x in w.window]):
         return False

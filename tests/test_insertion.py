@@ -1,5 +1,7 @@
 import ast
+import json
 import random
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from affine_insertion.insertion import (
     grassmannian_rsk,
 )
 from affine_insertion.localrule import InitialTriple, phi
+from affine_insertion.serialize import audit_to_json, pair_to_json
 from affine_insertion.strong import MarkedStrongCover, StrongStrip, StrongTableau, strong_strips_from
 from affine_insertion.weak import WeakStrip, WeakTableau, weak_strips_from
 
@@ -319,3 +322,40 @@ def test_insert_commutes_with_rotate(case, k):
     p, q = affine_insert(u, u, StrongTableau(u, ()), WeakTableau(u, ()), m, l)
     v = rotate(u, k)
     assert affine_insert(v, v, StrongTableau(v, ()), WeakTableau(v, ()), m, l + k) == _rotated_pair(p, q, k)
+
+
+# sha256 of the canonical JSON of every diagram of _golden_growth_diagrams:
+# the pair (P, Q) and every cell's audit, inserted and uninserted.
+GROWTH_GOLDEN_SHA256 = "a1aa1f0d96864e3508b2df486b39fb468982414d523ba3f525ad48ea53c3652d"
+
+
+def _golden_growth_diagrams():
+    """Seeded matrices at n = 3, 4 and 8, levels 0, 1, -1, 2 and -3; each row
+    sum below n lands on random columns."""
+    rng = random.Random("growth-golden")
+    for n, dim, count in ((3, 4, 6), (4, 5, 6), (8, 8, 3)):
+        for l in (0, 1, -1, 2, -3):
+            for _ in range(count):
+                rows = [[0] * dim for _ in range(dim)]
+                for row in rows:
+                    for _ in range(rng.randint(0, n - 1)):
+                        row[rng.randrange(dim)] += 1
+                yield n, l, BoundedMatrix.from_rows(rows)
+
+
+def test_growth_diagrams_match_golden_digest():
+    def audits(g):
+        return {f"{i},{j}": audit_to_json(steps) for (i, j), steps in sorted(g.audits.items())}
+
+    digest, tags, diagrams = sha256(), set(), 0
+    for n, l, m in _golden_growth_diagrams():
+        p, q, g = grassmannian_rsk(m, n, l, return_diagram=True)
+        t_tab, u_tab, back, h = affine_uninsert(p, q, l, return_diagram=True)
+        assert back == m and not t_tab.strips and not u_tab.strips
+        doc = {"matrix": m.to_rows(), "pair": pair_to_json(p, q, n, l), "insert": audits(g), "uninsert": audits(h)}
+        digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        tags.update(step.case for grid in (g, h) for steps in grid.audits.values() for step in steps)
+        diagrams += 1
+    assert diagrams == 75
+    assert tags == set(localrule.CaseTag)
+    assert digest.hexdigest() == GROWTH_GOLDEN_SHA256

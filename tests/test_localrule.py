@@ -34,7 +34,7 @@ from affine_insertion.localrule import (
     psi_with_audit,
     reverse_insert,
 )
-from affine_insertion.strong import MarkedStrongCover, StrongStrip, strong_strips_from
+from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip, marked_covers_above, strong_strips_from
 from affine_insertion.weak import WeakStrip, weak_strips_from
 
 W = from_window
@@ -363,12 +363,105 @@ def test_planted_wrong_square_raises(monkeypatch, case, helper, plant):
         step()
 
 
+# The Case RA, RB and RC fixtures above, each with a nonempty A', as thunks
+# for the planted reverse-square test.
+REVERSE_SQUARE_CASES = {
+    "RA": lambda: reverse_insert(
+        InitialPair(wstrip(4, [1, 8, -2, 3], {1}, [2, 8, -3, 3]), empty_strip(4, [1, 8, -2, 3])),
+        cover(4, [4, 6, -3, 3], -2, 1, [2, 8, -3, 3]),
+        0,
+    ),
+    "RB": lambda: reverse_insert(
+        InitialPair(
+            wstrip(6, [3, 0, 1, 11, -2, 8], {2, 3, 5}, [2, -1, 1, 12, -3, 10]),
+            empty_strip(6, [3, 0, 1, 11, -2, 8]),
+        ),
+        cover(6, [4, -1, 1, 12, -3, 8], 0, 1, [2, -1, 1, 12, -3, 10]),
+        0,
+    ),
+    "RC": lambda: reverse_insert(
+        InitialPair(
+            wstrip(4, [4, 5, -2, 3], {1}, [4, 6, -3, 3]),
+            StrongStrip(W(4, [4, 5, -2, 3]), (cover(4, [4, 5, -2, 3], -2, 1, [1, 8, -2, 3]),)),
+        ),
+        cover(4, [4, 5, -2, 3], -2, 7, [4, 6, -3, 3]),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REVERSE_SQUARE_CASES))
+def test_planted_wrong_reverse_square_raises(monkeypatch, case):
+    step = REVERSE_SQUARE_CASES[case]
+    assert step()[1].value == case  # the unplanted step succeeds
+    real = localrule.right_mult_transposition
+    # w * t_ij * s_0 instead of w * t_ij: the new inside corner is wrong
+    monkeypatch.setattr(
+        localrule, "right_mult_transposition", lambda w, i, j: real(w, i, j) * simple_reflection(w.n, 0)
+    )
+    with pytest.raises(ValueError):
+        step()
+
+
+def _exhaustive_empty_strip_triples(n, l):
+    """Every initial triple with an empty weak strip, from an element of length
+    <= 3, a strong strip of size <= 2 and any admissible e."""
+    for level in elements_by_length(n, 3):
+        for w in level:
+            empty = WeakStrip(w, frozenset(), w)
+            for r in (0, 1, 2):
+                for st_ in strong_strips_from(w, r, l):
+                    for e in range(n):
+                        yield InitialTriple(empty, st_, e)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_empty_strip_steps_pass_covers_through(n):
+    # with A = {} Cases A and RA hand on the cover objects they were given
+    l, count = 0, 0
+    for triple in _exhaustive_empty_strip_triples(n, l):
+        final = phi(triple, l)
+        assert all(a is b for a, b in zip(final.strong.covers, triple.strong.covers))
+        back = psi(final, l)
+        assert back == triple
+        assert all(a is b for a, b in zip(back.strong.covers, final.strong.covers))
+        count += 1
+    assert count > 500
+
+
+def test_pass_through_rebuilds_covers_marked_at_another_level():
+    # a cover marked at level 1 is rebuilt at l = 0, or refused if it does
+    # not straddle 0
+    rebuilt = refused = 0
+    for level in elements_by_length(3, 3):
+        for w in level:
+            for c in marked_covers_above(w, 1):
+                steps = (
+                    lambda: internal_insert(FinalPair(WeakStrip(w, frozenset(), w), StrongStrip(w, ())), c, 0),
+                    lambda: reverse_insert(
+                        InitialPair(WeakStrip(c.outside, frozenset(), c.outside), StrongStrip(c.outside, ())), c, 0
+                    ),
+                )
+                for step in steps:
+                    if c.i <= 0 < c.j:
+                        out, tag = step()
+                        new = out.strong.covers[0]
+                        assert tag in (CaseTag.A, CaseTag.RA) and new is not c and new.l == 0
+                        assert (new.inside, new.i, new.j, new.outside) == (c.inside, c.i, c.j, c.outside)
+                        rebuilt += 1
+                    else:
+                        with pytest.raises(NotACover):
+                            step()
+                        refused += 1
+    assert rebuilt and refused
+
+
 # Run under python -O, where assert statements are stripped: the square
 # identity, the strip test and the cover test must still raise.
 OPTIMIZED_CHECKS = """
 from affine_insertion import localrule
 from affine_insertion.affperm import from_window as W, identity, right_mult_transposition, simple_reflection
-from affine_insertion.localrule import FinalPair, external_insert
+from affine_insertion.localrule import FinalPair, InitialPair, external_insert, reverse_insert
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip
 from affine_insertion.weak import InvalidStrip, WeakStrip
 
@@ -395,6 +488,18 @@ localrule.cyclically_decreasing = lambda n, a_set: real(n, a_set) * simple_refle
 print("square", raised(ValueError, case_x))
 localrule.cyclically_decreasing = real
 
+
+def case_ra():
+    inside, outside = W(4, [1, 8, -2, 3]), W(4, [2, 8, -3, 3])
+    pair = InitialPair(WeakStrip(inside, frozenset({1}), outside), StrongStrip(inside, ()))
+    return reverse_insert(pair, MarkedStrongCover(W(4, [4, 6, -3, 3]), -2, 1, outside, 0), 0)
+
+
+case_ra()  # the unplanted step succeeds
+localrule.right_mult_transposition = lambda w, i, j: right_mult_transposition(w, i, j) * simple_reflection(w.n, 0)
+print("reverse square", raised(ValueError, case_ra))
+localrule.right_mult_transposition = right_mult_transposition
+
 e, s0 = identity(3), simple_reflection(3, 0)
 print("strip product", raised(InvalidStrip, lambda: WeakStrip(e, frozenset({0}), e)))
 print("strip length", raised(InvalidStrip, lambda: WeakStrip(s0, frozenset({0}), e)))
@@ -415,6 +520,7 @@ def test_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "square True",
+        "reverse square True",
         "strip product True",
         "strip length True",
         "cover straddle True",
