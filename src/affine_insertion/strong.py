@@ -283,35 +283,35 @@ _MARK = attrgetter("mark")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def strong_strip_outsides(w: AffinePermutation, r: int, l: int, spin: bool) -> tuple[tuple, ...]:
-    """The distinct (outside, spin) pairs of the strong strips of size r with
-    inside w, each with its number of strips; memoised per argument tuple.
-    Builds no strip: counts chains per (element, last mark, spin), the spin
-    of a strip being the sum of its covers'; without spin it stays 0.
+def strong_strip_outsides(w: AffinePermutation, r: int, l: int, slot: int) -> tuple[tuple, ...]:
+    """The distinct outsides of the strong strips of size r with inside w, each
+    with the sum over its strips of t^spin at t = 2^slot (slot 0: the number of
+    strips), the spin of a strip being the sum of its covers'; memoised per
+    argument tuple.  Builds no strip: counts chains per (element, last mark).
     marked_covers_above sorts by mark, so the covers whose mark exceeds the
     last are a suffix of its tuple; bisection finds where it starts.
 
     >>> from .affperm import from_window
     >>> w = from_window(3, [0, 1, 5])
-    >>> [(o.window, s, m) for spin in (False, True) for o, s, m in strong_strip_outsides(w, 1, 0, spin)]
-    [((-1, 1, 6), 0, 2), ((-2, 3, 5), 0, 1), ((-1, 1, 6), 0, 1), ((-2, 3, 5), 1, 1), ((-1, 1, 6), 1, 1)]
+    >>> [(o.window, m) for slot in (0, 4) for o, m in strong_strip_outsides(w, 1, 0, slot)]
+    [((-1, 1, 6), 2), ((-2, 3, 5), 1), ((-1, 1, 6), 17), ((-2, 3, 5), 16)]
     """
     if r < 0:
         return ()
-    states = {(w, None, 0): 1}
+    states = {(w, None): 1}
     for _ in range(r):
         nxt: dict = {}
-        for (x, floor, s), m in states.items():
+        for (x, floor), m in states.items():
             covers = marked_covers_above(x, l)
             start = 0 if floor is None else bisect_right(covers, floor, key=_MARK)
             for c in covers[start:]:
-                state = c.outside, c.mark, s + c.spin if spin else s
-                nxt[state] = nxt.get(state, 0) + m
+                state = c.outside, c.mark
+                nxt[state] = nxt.get(state, 0) + (m << slot * c.spin if slot else m)
         states = nxt
     outs: dict = {}
-    for (x, _, s), m in states.items():
-        outs[x, s] = outs.get((x, s), 0) + m
-    return tuple((x, s, m) for (x, s), m in outs.items())
+    for (x, _), m in states.items():
+        outs[x] = outs.get(x, 0) + m
+    return tuple(outs.items())
 
 
 def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
@@ -357,25 +357,22 @@ def strong_weight_table(inside: AffinePermutation, outside: AffinePermutation, l
         raise RankMismatch(f"rank {inside.n} vs {outside.n}")
     # rotate(w, k) conjugates by x -> x + k, so it maps w * t_ij to rotate(w, k) * t_(i+k)(j+k):
     # the marked covers at l go to those at l + k, marks shifted by k and so kept in order.
-    return _strong_table(rotate(inside, -l), rotate(outside, -l), False).get(0, {})
+    return _strong_table(rotate(inside, -l), rotate(outside, -l), 0)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _strong_table(inside: AffinePermutation, outside: AffinePermutation, spin: bool) -> dict:
-    """Strong tableau counts of shape outside/inside at level 0 per total spin (0 alone
-    without spin), then per positive weight composition: from the tables of the outsides
-    of the first strips, each counted once per strip reaching it with that spin."""
+def _strong_table(inside: AffinePermutation, outside: AffinePermutation, slot: int) -> dict:
+    """Sum of t^spin at t = 2^slot (slot 0: the count) over the strong tableaux of shape outside/inside
+    at level 0, per positive weight composition: each first-strip outside's table, times its strips' sum."""
     budget = outside.length - inside.length
     if budget <= 0:
-        return {0: {(): 1}} if inside == outside else {}
+        return {(): 1} if inside == outside else {}
     table: dict = {}
     for r in range(1, budget + 1):
-        for out, s, m in strong_strip_outsides(inside, r, 0, spin):
-            for t, counts in _strong_table(out, outside, spin).items():
-                row = table.setdefault(s + t, {})
-                for comp, c in counts.items():
-                    key = (r,) + comp
-                    row[key] = row.get(key, 0) + m * c
+        for out, m in strong_strip_outsides(inside, r, 0, slot):
+            for comp, c in _strong_table(out, outside, slot).items():
+                key = (r,) + comp
+                table[key] = table.get(key, 0) + m * c
     return table
 
 

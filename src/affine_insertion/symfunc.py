@@ -356,11 +356,14 @@ class SpinPolynomial:
 
 
 def k_schur_spin(b, n: int) -> SpinPolynomial:
-    """Spin-graded monomial expansion: strong tableaux graded by spin, the
-    sum of the spins of their marked covers (MarkedStrongCover.spin)."""
-    u = _grassmannian_from_bounded(b, n)
-    table = _strong_table(identity(n), u, True).items()
-    coeffs = {(lam, s): c for s, row in table for lam, c in row.items() if sorted(lam, reverse=True) == list(lam)}
+    """Spin-graded monomial expansion, read off the base-2^slot digits of the strong table at
+    t = 2^slot: a tableau's spin is the sum of its marked covers' (MarkedStrongCover.spin)."""
+    u, e = _grassmannian_from_bounded(b, n), identity(n)
+    # the counts per spin are >= 0 and sum to the plain count, below 2^slot: no digit carries
+    slot = max(_strong_table(e, u, 0).values()).bit_length()
+    table, digit = _strong_table(e, u, slot), (1 << slot) - 1
+    coeffs = {(lam, s // slot): c for lam, x in table.items() if sorted(lam, reverse=True) == list(lam)
+              for s in range(0, x.bit_length(), slot) if (c := x >> s & digit)}
     return SpinPolynomial(u.length, coeffs)
 
 

@@ -46,18 +46,21 @@ SIDES = {
 
 @pytest.mark.parametrize("n, max_len", [(3, 6), (4, 5)])
 def test_outsides_count_the_enumerated_strips(n, max_len):
-    # the mark DP against the strips themselves, grouped by outside and by (outside, spin)
+    # the mark DP against the strips themselves, grouped by outside at slot 0 and, through
+    # the base-2^slot digits at a slot wide enough for every count, by (outside, spin)
     for w in (w for level in elements_by_length(n, max_len) for w in level):
         for r in range(n + 1):
             for l in range(-1, n + 1):
                 strips = strong_strips_from(w, r, l)
-                for spin, key in [
-                    (False, lambda s: (s.outside, 0)),
-                    (True, lambda s: (s.outside, sum(c.spin for c in s.covers))),
-                ]:
-                    got = strong_strip_outsides(w, r, l, spin)
-                    assert len({(o, t) for o, t, _ in got}) == len(got)
-                    assert {(o, t): m for o, t, m in got} == Counter(map(key, strips)), (w, r, l, spin)
+                plain = strong_strip_outsides(w, r, l, 0)
+                assert len({o for o, _ in plain}) == len(plain)
+                assert dict(plain) == Counter(s.outside for s in strips), (w, r, l)
+                slot = len(strips).bit_length()  # no count per (outside, spin) exceeds len(strips)
+                spun = strong_strip_outsides(w, r, l, slot)
+                assert len({o for o, _ in spun}) == len(spun)
+                digit = (1 << slot) - 1
+                digits = Counter({(o, t): m >> slot * t & digit for o, m in spun for t in range(m.bit_length())})
+                assert +digits == Counter((s.outside, sum(c.spin for c in s.covers)) for s in strips), (w, r, l)
 
 
 def test_strong_tables_at_level_l_are_the_rotated_level_0_tables():

@@ -27,7 +27,13 @@ from affine_insertion.cores import (
     partitions,
     spin_tableau,
 )
-from affine_insertion.strong import StrongTableau, _strong_table, strong_strips_from, strong_weight_table
+from affine_insertion.strong import (
+    MarkedStrongCover,
+    StrongTableau,
+    _strong_table,
+    strong_strips_from,
+    strong_weight_table,
+)
 from affine_insertion.symfunc import (
     NotSymmetric,
     SingularSystem,
@@ -293,12 +299,61 @@ def test_spin_table_collapses_to_the_weight_table(n):
     e = identity(n)
     for d in range(8):
         for u in grassmannians_by_length(n, d):
-            graded = _strong_table(e, u, True)
-            collapsed = {}
-            for row in graded.values():
-                for comp, c in row.items():
-                    collapsed[comp] = collapsed.get(comp, 0) + c
-            assert collapsed == strong_weight_table(e, u, 0), u
+            plain = strong_weight_table(e, u, 0)
+            slot = sum(plain.values()).bit_length()  # wider than any count per (weight, spin)
+            graded = _strong_table(e, u, slot)
+            digit = (1 << slot) - 1
+            collapsed = {comp: sum(c >> s & digit for s in range(0, c.bit_length(), slot)) for comp, c in graded.items()}
+            assert collapsed == plain, u
+
+
+# REPORT pinned, not a theorem asserted: (n, top degree) -> Grassmannian shapes of degree
+# 0 to top, and how many of them are symmetric in every t-degree
+SPIN_SYMMETRY = {(3, 14): (64, 64), (4, 11): (83, 83), (5, 9): (71, 71), (6, 8): (60, 60)}
+# MarkedStrongCover.spin = c(h - 1) + p planted two ways: +1 when p > 0, and p dropped
+SPIN_PLANTS = {
+    "+1 when p > 0": (lambda ch, p: ch + p + (p > 0), {(3, 10): (36, 6), (4, 8): (41, 11)}),
+    "p dropped": (lambda ch, p: ch, {(3, 10): (36, 6), (4, 8): (41, 11)}),
+}
+
+
+def _spin_symmetry_counts(n, top):
+    # equal packed ints are equal t-polynomials, so one symmetry_report on the packed
+    # table checks every t-degree at once
+    e, shapes, symmetric = identity(n), 0, 0
+    for d in range(top + 1):
+        for u in grassmannians_by_length(n, d):
+            slot = max(strong_weight_table(e, u, 0).values()).bit_length()
+            shapes += 1
+            symmetric += WeightPolynomial(d, _strong_table(e, u, slot)).symmetry_report().symmetric
+    return shapes, symmetric
+
+
+@pytest.mark.parametrize("n, top", SPIN_SYMMETRY)
+def test_spin_tables_are_symmetric_in_every_t_degree(n, top):
+    assert _spin_symmetry_counts(n, top) == SPIN_SYMMETRY[n, top]
+
+
+def _planted_spin(plant):
+    def spin(c):
+        w, i, n = c.inside, c.i, c.inside.n
+        p = (c.j - c.l - 1) // n
+        h_1 = sum(1 for v in range(w(i) + 1, c.mark) if w.position_of(v) < i)
+        return plant(((c.l - i) // n + p + 1) * h_1, p)
+
+    return property(spin)  # a data descriptor, so no spin cached on a cover answers instead
+
+
+@pytest.mark.parametrize("plant", SPIN_PLANTS)
+def test_a_spin_plant_breaks_the_t_degree_symmetry(monkeypatch, plant):
+    formula, counts = SPIN_PLANTS[plant]
+    clear_caches()  # no memo may answer from before the plant, nor keep its answers after
+    monkeypatch.setattr(MarkedStrongCover, "spin", _planted_spin(formula))
+    try:
+        assert {key: _spin_symmetry_counts(*key) for key in counts} == counts
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_k_schur_spin_at_degree_11_builds_no_strip():
@@ -322,6 +377,27 @@ def test_k_schur_at_degree_16_matches_its_digest(b, n):
     terms = sorted([list(lam), c] for lam, c in k_schur(b, n).coeffs.items())
     digest = hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
     assert (digest, len(terms)) == DEGREE_16_DIGESTS[b, n]
+
+
+def _spin_terms(b, n):
+    return sorted([list(lam), spin, c] for (lam, spin), c in k_schur_spin(b, n).coeffs.items())
+
+
+def _sha256(doc):
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_k_schur_spin_matches_its_digests():
+    # recorded from the unpacked {spin: {composition: count}} tables: one sha256 over
+    # [n, b, sorted terms [partition, spin, count]] for the 305 shapes of degree 1 to
+    # 12, 11, 10 and 9 at n = 3, 4, 5 and 6, and one (with the term count) at degree 16
+    tops = {3: 12, 4: 11, 5: 10, 6: 9}
+    shapes = [(n, b) for n, top in tops.items() for d in range(1, top + 1) for b in partitions(d, n - 1)]
+    assert len(shapes) == 305
+    sweep = _sha256([[n, list(b), _spin_terms(b, n)] for n, b in shapes])
+    assert sweep == "bf9ae858bf7ac7d00b7de0cc5d6b5f8c69fab12e0f6d9b46d40ef572b4b1c380"
+    terms = _spin_terms((2,) * 8, 3)
+    assert (_sha256(terms), len(terms)) == ("33245e477dfc4ac11caefe8c487955a290113c82a69eda9942f46343beab203d", 10593)
 
 
 def test_pieri_printed_example():
