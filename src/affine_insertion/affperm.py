@@ -206,15 +206,24 @@ def right_mult_transposition(w: AffinePermutation, i: int, j: int) -> AffinePerm
 
     Only the window entries of the residue classes of i and j change; when
     i and j share a class, that entry becomes w(j + x - i) at its position x.
+    An index w.position_of has built is handed on: the two classes swap
+    their window slots, and a shared class keeps its slot.
     """
     n, win = w.n, w.window
     qi, ri = divmod(i - 1, n)
     qj, rj = divmod(j - 1, n)
     window = list(win)
     window[ri] = win[rj] + (qj - qi) * n
+    idx = w._inv_idx
     if ri != rj:
         window[rj] = win[ri] + (qi - qj) * n
-    return AffinePermutation(n, window)
+        if idx is not None:
+            idx = list(idx)
+            idx[win[ri] % n], idx[win[rj] % n] = rj, ri
+            idx = tuple(idx)
+    out = AffinePermutation(n, window)
+    out._inv_idx = idx
+    return out
 
 
 def from_window(n: int, values) -> AffinePermutation:

@@ -8,11 +8,13 @@ Every step builds its new strips and covers through the validating
 constructors, so a violated invariant raises instead of propagating a wrong
 answer.  The one exception is a cover the step was given: with an empty
 weak strip, Cases A and RA hand it on as it is when it is marked at l,
-since the rebuilt cover would be equal field for field.  Going forward the
-new corner is x = c_A' * u, and the square identity x = v * t_ab is
-MarkedStrongCover's check (NotACover).  Going back the new inside corner is
-read off the strong side, w = u * t_ab, and the square identity
-c_A' * w = v is WeakStrip's check (InvalidStrip).  Case tags are recorded
+since the rebuilt cover would be equal field for field.  Both directions
+read each new corner off the strong side, and the square identity is
+WeakStrip's check (InvalidStrip).  Going forward a new cover derives its
+outside x = v * t_ab (outside None), skipping only the comparison that is
+true by construction, and the strip (u, A', x) checks c_A' * u = x.  Going
+back the new inside corner is w = u * t_ab, and (w, A', v) checks
+c_A' * w = v.  No product c_A' * u is built.  Case tags are recorded
 in an audit trail for debugging and for the roundtrip tests' factorization
 into irreducible step sequences.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 from .affperm import AffinePermutation, right_mult_transposition
 from .strong import MarkedStrongCover, StrongStrip
-from .weak import WeakStrip, cyclically_decreasing, is_bad, is_nice, step_to
+from .weak import WeakStrip, is_bad, is_nice, step_to
 
 __all__ = [
     "CaseTag",
@@ -211,15 +213,11 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     v = weak.outside
     i, j = cover.i, cover.j
 
-    if commutes_initial(weak, cover):
+    if v(i) < v(j):  # commutes_initial, whose endpoint check is the one above
         # Case A: the reflection passes through untouched.  With A empty,
         # v = inside(C) and v * t_ij = u, so a cover marked at l is reused.
-        if not a_set and cover.l == l:
-            x, new_cover = u, cover
-        else:
-            x = right_mult_transposition(v, i, j)
-            new_cover = MarkedStrongCover(v, i, j, x, l)
-        out = FinalPair(WeakStrip(u, a_set, x), s1.appended(new_cover))
+        new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(v, i, j, None, l)
+        out = FinalPair(WeakStrip(u, a_set, new_cover.outside), s1.appended(new_cover))
         return out, CaseTag.A
 
     p0 = u(i) - 1
@@ -232,9 +230,8 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
         q = _max_at_low_position(u, is_nice, a_vee, l, bound=u(j))
         p = step_to(n, a_vee, q, is_nice)
         a_new = a_vee | {(p - 1) % n}
-        a, b = u.position_of(q), u.position_of(p)
-        x = cyclically_decreasing(n, a_new) * u
-        out = FinalPair(WeakStrip(u, a_new, x), s1.appended(MarkedStrongCover(v, a, b, x, l)))
+        new_cover = MarkedStrongCover(v, u.position_of(q), u.position_of(p), None, l)
+        out = FinalPair(WeakStrip(u, a_new, new_cover.outside), s1.appended(new_cover))
         return out, CaseTag.B
 
     # Case C: replacement bump just before the last produced cover.
@@ -243,15 +240,10 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     q = _max_at_low_position(y, is_bad, a_vee, l, bound=p0)
     p = step_to(n, a_vee, q, is_bad)
     a_new = a_vee | {q % n}
-    am, bm = y.position_of(q), y.position_of(p)
-    v_prime = right_mult_transposition(y, am, bm)
-    x = cyclically_decreasing(n, a_new) * u
-    spliced = StrongStrip(
-        s1.inside,
-        s1.covers[:-1]
-        + (MarkedStrongCover(y, am, bm, v_prime, l), MarkedStrongCover(v_prime, i, b1, x, l)),
-    )
-    out = FinalPair(WeakStrip(u, a_new, x), spliced)
+    bumped = MarkedStrongCover(y, y.position_of(q), y.position_of(p), None, l)
+    new_last = MarkedStrongCover(bumped.outside, i, b1, None, l)
+    spliced = StrongStrip(s1.inside, s1.covers[:-1] + (bumped, new_last))
+    out = FinalPair(WeakStrip(u, a_new, new_last.outside), spliced)
     return out, CaseTag.C
 
 
@@ -265,9 +257,8 @@ def external_insert(pair: FinalPair, l: int) -> FinalPair:
     q = _max_at_low_position(v, is_bad, a_set, l, bound=None)
     p = step_to(n, a_set, q, is_bad)
     a_new = a_set | {q % n}
-    a, b = v.position_of(q), v.position_of(p)
-    x = cyclically_decreasing(n, a_new) * w
-    return FinalPair(WeakStrip(w, a_new, x), s1.appended(MarkedStrongCover(v, a, b, x, l)))
+    new_cover = MarkedStrongCover(v, v.position_of(q), v.position_of(p), None, l)
+    return FinalPair(WeakStrip(w, a_new, new_cover.outside), s1.appended(new_cover))
 
 
 def phi_with_audit(triple: InitialTriple, l: int) -> tuple[FinalPair, tuple[AuditStep, ...]]:
@@ -287,8 +278,9 @@ def phi_with_audit(triple: InitialTriple, l: int) -> tuple[FinalPair, tuple[Audi
                 raise InvalidPair("Case C directly after Case B")
             if prev_i != cover.i:
                 raise InvalidPair("Case C without repeated first index")
-        expected_commute = tag is not CaseTag.B
-        if commutes_final(pair.weak, pair.strong.last) != expected_commute:
+        # commutes_final, whose endpoint check is FinalPair's
+        u, last = pair.weak.inside, pair.strong.last
+        if (u(last.i) > u(last.j)) != (tag is not CaseTag.B):
             raise InvalidPair(f"commutation status wrong after Case {tag.value}")
         steps.append(AuditStep(tag, before, pair))
         prev_i = cover.i
@@ -322,7 +314,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     v = cover.inside
     a, b = cover.i, cover.j
 
-    if commutes_final(weak, cover):
+    if u(a) > u(b):  # commutes_final, whose endpoint check is the one above
         # Case RA: with A' empty, u = outside(C) and u * t_ab = v, so a cover
         # marked at l is reused.
         if not a_set and cover.l == l:

@@ -6,7 +6,7 @@ import json
 
 from .affperm import format_window, parse_window
 from .insertion import BoundedMatrix
-from .strong import MarkedStrongCover, StrongStrip, StrongTableau
+from .strong import MarkedStrongCover, NotACover, StrongStrip, StrongTableau
 from .weak import WeakStrip, WeakTableau
 
 __all__ = [
@@ -74,8 +74,11 @@ def strong_strip_from_json(d: dict, n: int, l: int) -> StrongStrip:
     covers = []
     for cd in cover_docs:
         i, j, outside = _fields(cd, "marked cover", i=int, j=int, outside=str)
-        covers.append(MarkedStrongCover(cur, i, j, parse_window(outside, n), l))
-        cur = covers[-1].outside
+        c = MarkedStrongCover(cur, i, j, parse_window(outside, n), l)
+        if "mark" in cd and (type(cd["mark"]) is not int or cd["mark"] != c.mark):
+            raise NotACover(f"marked cover 'mark' must be inside(j) = {c.mark}, not {cd['mark']!r}")
+        covers.append(c)
+        cur = c.outside
     return StrongStrip(start, tuple(covers))
 
 

@@ -97,14 +97,15 @@ def is_strong_cover(w: AffinePermutation, u: AffinePermutation) -> bool:
 class MarkedStrongCover:
     """Strong cover w -> u = w*t_{ij} with a straddling translate i <= l < j.
 
-    The mark m(C) = w(j) is stored once the checks pass.  It is a function
-    of the other fields, so it takes no part in equality, hashing or the
-    dataclass repr."""
+    An outside of None is derived: it becomes w * t_ij, which a given
+    outside must equal.  The mark m(C) = w(j) is stored once the checks
+    pass.  It is a function of the other fields, so it takes no part in
+    equality, hashing or the dataclass repr."""
 
     inside: AffinePermutation
     i: int
     j: int
-    outside: AffinePermutation
+    outside: AffinePermutation | None
     l: int
     mark: int = field(init=False, repr=False, compare=False)
 
@@ -114,7 +115,10 @@ class MarkedStrongCover:
             raise NotACover(f"({i},{j}) does not straddle l={self.l}")
         if not is_cover_pair(w, i, j):
             raise NotACover(f"{w} -({i},{j})-> is not a strong cover")
-        if right_mult_transposition(w, i, j) != self.outside:
+        u = right_mult_transposition(w, i, j)
+        if self.outside is None:
+            object.__setattr__(self, "outside", u)
+        elif u != self.outside:
             raise NotACover("outside element does not match w * t_ij")
         object.__setattr__(self, "mark", w(j))
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from affine_insertion.affperm import (
+    AffinePermutation,
     ResidueCollision,
     SumMismatch,
     RankMismatch,
@@ -185,6 +186,27 @@ def test_window_kernels_equal_loop_versions():
         for l in (0, n, -2 * n):
             vals = [w(l + m) for m in range(1, n + 1)]
             assert w.is_grassmannian(l) == all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_right_mult_transposition_hands_on_the_index(n):
+    # once w.position_of has built w's index, w * t_ij carries its own,
+    # which must answer as one built from scratch, also for j = i mod n
+    values = range(-2 * n, 3 * n + 1)
+    for level in elements_by_length(n, 4):
+        for w in level:
+            w.position_of(1)
+            for i in range(1, n + 1):
+                for j in range(i + 1, i + 2 * n + 1):
+                    got = right_mult_transposition(w, i, j)
+                    assert got._inv_idx is not None
+                    fresh = AffinePermutation(n, got.window)
+                    assert [got.position_of(v) for v in values] == [fresh.position_of(v) for v in values], (w, i, j)
+    # the product of an element without an index builds its own
+    w = AffinePermutation(n, from_reduced_word(n, [0, 1, 2]).window)
+    got = right_mult_transposition(w, 1, n + 2)
+    assert w._inv_idx is None and got._inv_idx is None
+    assert [got(got.position_of(v)) for v in values] == list(values)
 
 
 def test_grassmannian_test():

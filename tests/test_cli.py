@@ -47,6 +47,37 @@ def test_insert_json_and_reverse(capsys, tmp_path):
     assert json.loads(out) == [[0, 1, 0], [0, 0, 2], [1, 0, 1]]
 
 
+def _with_marks(doc, change):
+    """doc with every cover's 'mark' replaced by change(mark), or dropped where change gives None."""
+    if isinstance(doc, list):
+        return [_with_marks(x, change) for x in doc]
+    if not isinstance(doc, dict):
+        return doc
+    out = {k: _with_marks(v, change) for k, v in doc.items() if k != "mark"}
+    if "mark" in doc and change(doc["mark"]) is not None:
+        out["mark"] = change(doc["mark"])
+    return out
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda m: m + 100, "marked cover 'mark' must be inside(j) = 1, not 101", id="shifted"),
+    pytest.param(lambda m: True if m == 1 else m, "marked cover 'mark' must be inside(j) = 1, not True", id="bool"),
+    pytest.param(lambda m: None, None, id="dropped"),
+])
+def test_reverse_reads_each_cover_mark(capsys, tmp_path, change, message):
+    matrix = "[[1,1],[1,0]]"
+    rc, out = run(capsys, "insert", "--n", "3", "--matrix", matrix, "--format", "json")
+    assert rc == 0
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_with_marks(json.loads(out), change)))
+    rc = main(["insert", "--reverse", "--n", "3", "--pair", str(path)])
+    captured = capsys.readouterr()
+    if message is None:  # a document without marks still reads
+        assert rc == 0 and json.loads(captured.out) == json.loads(matrix)
+    else:
+        assert rc == 2 and message in captured.err and "Traceback" not in captured.err
+
+
 def test_insert_rejects_unbounded(capsys):
     rc = main(["insert", "--n", "3", "--matrix", "[[3]]"])
     assert rc == 2

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_insertion import localrule
+from affine_insertion import localrule, strong
 from affine_insertion.affperm import (
+    AffinePermutation,
     elements_by_length,
     from_reduced_word,
     from_window,
@@ -35,7 +37,7 @@ from affine_insertion.localrule import (
     reverse_insert,
 )
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip, marked_covers_above, strong_strips_from
-from affine_insertion.weak import WeakStrip, weak_strips_from
+from affine_insertion.weak import InvalidStrip, WeakStrip, weak_strips_from
 
 W = from_window
 
@@ -206,9 +208,9 @@ def test_endpoint_mismatch():
         commutes_initial(bad, c)
 
 
-def test_roundtrip_exhaustive_small():
-    n, l = 3, 0
-    sizes = 0
+def _small_triples(n, l):
+    """Every initial triple from an element of length <= 3, weak and strong
+    strips of size <= 2 and e <= 2, with size(W) + e < n."""
     for level in elements_by_length(n, 3):
         for w in level:
             weaks = [s for r in (0, 1, 2) for s in weak_strips_from(w, r)]
@@ -216,16 +218,38 @@ def test_roundtrip_exhaustive_small():
             for wk in weaks:
                 for st in strongs:
                     for e in range(3):
-                        if wk.size + e >= n:
-                            continue
-                        triple = InitialTriple(wk, st, e)
-                        out, steps = phi_with_audit(triple, l)
-                        assert out.strong.size == st.size + e  # size identity
-                        back, rsteps = psi_with_audit(out, l)
-                        assert back == triple
-                        assert len(steps) == len(rsteps)
-                        sizes += 1
+                        if wk.size + e < n:
+                            yield InitialTriple(wk, st, e)
+
+
+def test_roundtrip_exhaustive_small():
+    n, l = 3, 0
+    sizes = 0
+    for triple in _small_triples(n, l):
+        out, steps = phi_with_audit(triple, l)
+        assert out.strong.size == triple.strong.size + triple.e  # size identity
+        back, rsteps = psi_with_audit(out, l)
+        assert back == triple
+        assert len(steps) == len(rsteps)
+        sizes += 1
     assert sizes > 1000
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_steps_build_no_product(monkeypatch, n):
+    # every corner is read off a cover (w * t_ij) and every square checked
+    # by WeakStrip's closed form, so no c_A and no product is built
+    l = 0
+    triples = list(_small_triples(n, l))
+
+    def refuse(*args):
+        raise AssertionError("the local rule built a product")
+
+    monkeypatch.setattr(AffinePermutation, "__mul__", refuse)
+    monkeypatch.setattr(localrule, "cyclically_decreasing", refuse, raising=False)
+    for triple in triples:
+        assert psi(phi(triple, l), l) == triple
+    assert len(triples) > 1000
 
 
 def test_audit_tags_factorize():
@@ -308,11 +332,12 @@ def test_phi_and_psi_commute_with_rotate(case, k):
     assert psi(rotated_final, l + k) == rotated_triple
 
 
-# The Case B, C and X fixtures above, as thunks for the planted-error test,
-# each with the neighbour of its bumped integer p that still yields a genuine
-# weak strip and straddling cover, so that only the square identity fails.
+# The Case B, C and X fixtures above, as steps with thunks for their
+# inputs, for the planted-error test, each with the neighbour of its bumped
+# integer p that still yields a genuine weak strip and straddling cover, so
+# that only the square identity fails.
 SQUARE_CASES = {
-    "B": (1, lambda: internal_insert(
+    "B": (1, internal_insert, lambda: (
         FinalPair(
             wstrip(6, [5, 0, 1, 9, -2, 8], {3, 4, 5}, [4, -1, 1, 12, -3, 8]),
             empty_strip(6, [4, -1, 1, 12, -3, 8]),
@@ -320,7 +345,7 @@ SQUARE_CASES = {
         cover(6, [5, 0, 1, 9, -2, 8], -2, 1, [3, 0, 1, 11, -2, 8]),
         0,
     )),
-    "C": (1, lambda: internal_insert(
+    "C": (1, internal_insert, lambda: (
         FinalPair(
             wstrip(4, [1, 7, -2, 4], {3}, [1, 8, -2, 3]),
             StrongStrip(W(4, [4, 5, -2, 3]), (cover(4, [4, 5, -2, 3], -2, 1, [1, 8, -2, 3]),)),
@@ -328,7 +353,7 @@ SQUARE_CASES = {
         cover(4, [1, 7, -2, 4], -2, 4, [1, 8, -2, 3]),
         0,
     )),
-    "X": (-1, lambda: external_insert(
+    "X": (-1, external_insert, lambda: (
         FinalPair(
             wstrip(5, [2, -4, 5, 8, 4], {3, 5}, [2, -5, 6, 9, 3]), empty_strip(5, [2, -5, 6, 9, 3])
         ),
@@ -337,30 +362,45 @@ SQUARE_CASES = {
 }
 
 
-def _wrong_bump(real, shift):
+# Case C derives two covers, y -> v' and v' -> x; the corner x is the
+# second one's outside, so only that product is planted.
+CORNER_CALL = {"B": 0, "C": 1, "X": 0}
+
+
+def _wrong_bump(real, case):
     # p + shift instead of p: the new cover gets the wrong partner
+    shift = SQUARE_CASES[case][0]
+
     def planted(n, a_set, x, pred, step=1):
         return real(n, a_set, x, pred, step) + shift
 
     return planted
 
 
-def _wrong_cycle(real, _shift):
-    # c_A * s_0 instead of c_A: the new corner x is wrong
-    def planted(n, a_set):
-        return real(n, a_set) * simple_reflection(n, 0)
+def _wrong_corner(real, case):
+    # x = v * t_ab * s_0 instead of v * t_ab: the new corner is wrong
+    calls = itertools.count()
+
+    def planted(w, i, j):
+        out = real(w, i, j)
+        return out * simple_reflection(w.n, 0) if next(calls) == CORNER_CALL[case] else out
 
     return planted
 
 
 @pytest.mark.parametrize("case", sorted(SQUARE_CASES))
-@pytest.mark.parametrize("helper, plant", [("step_to", _wrong_bump), ("cyclically_decreasing", _wrong_cycle)])
-def test_planted_wrong_square_raises(monkeypatch, case, helper, plant):
-    shift, step = SQUARE_CASES[case]
-    step()  # the unplanted step succeeds
-    monkeypatch.setattr(localrule, helper, plant(getattr(localrule, helper), shift))
-    with pytest.raises(ValueError):
-        step()
+@pytest.mark.parametrize("owner, helper, plant", [
+    pytest.param(localrule, "step_to", _wrong_bump, id="step_to-_wrong_bump"),
+    pytest.param(strong, "right_mult_transposition", _wrong_corner, id="right_mult_transposition-_wrong_corner"),
+])
+def test_planted_wrong_square_raises(monkeypatch, case, owner, helper, plant):
+    _, step, inputs = SQUARE_CASES[case]
+    args = inputs()
+    step(*args)  # the unplanted step succeeds
+    monkeypatch.setattr(owner, helper, plant(getattr(owner, helper), case))
+    # the inputs were built unplanted, so the raise is the step's own square check
+    with pytest.raises(InvalidStrip):
+        step(*args)
 
 
 # The Case RA, RB and RC fixtures above, each with a nonempty A', as thunks
@@ -459,7 +499,7 @@ def test_pass_through_rebuilds_covers_marked_at_another_level():
 # Run under python -O, where assert statements are stripped: the square
 # identity, the strip test and the cover test must still raise.
 OPTIMIZED_CHECKS = """
-from affine_insertion import localrule
+from affine_insertion import localrule, strong
 from affine_insertion.affperm import from_window as W, identity, right_mult_transposition, simple_reflection
 from affine_insertion.localrule import FinalPair, InitialPair, external_insert, reverse_insert
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip
@@ -483,10 +523,9 @@ def case_x():
 
 
 case_x()  # the unplanted step succeeds
-real = localrule.cyclically_decreasing
-localrule.cyclically_decreasing = lambda n, a_set: real(n, a_set) * simple_reflection(n, 0)
-print("square", raised(ValueError, case_x))
-localrule.cyclically_decreasing = real
+strong.right_mult_transposition = lambda w, i, j: right_mult_transposition(w, i, j) * simple_reflection(w.n, 0)
+print("square", raised(InvalidStrip, case_x))
+strong.right_mult_transposition = right_mult_transposition
 
 
 def case_ra():
