@@ -10,24 +10,21 @@ keep their own memoised weight tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affperm import AffinePermutation
+from .record import Record
 
 
-@dataclass(frozen=True)
-class StripChain:
+class StripChain(Record):
     """Chain of strips; stored trimmed of trailing empty strips.  A subclass
     names its order and the error raised when its strips do not chain."""
 
-    inside: AffinePermutation
-    strips: tuple
-
+    __slots__ = _fields = ("inside", "strips")
     order = "strip"
     invalid = ValueError
 
-    def __post_init__(self):
-        strips = tuple(self.strips)
+    def __init__(self, inside: AffinePermutation, strips: tuple):
+        object.__setattr__(self, "inside", inside)
+        strips = tuple(strips)
         cur = self.inside
         for s in strips:
             if s.inside != cur:

@@ -9,7 +9,6 @@ or invalid input.  All randomized sampling takes an explicit --seed.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -44,7 +43,7 @@ from .serialize import (
 )
 from .strong import StrongTableau, marked_covers_above, strong_strips_from, strong_tableaux
 from .symfunc import cauchy_check, k_schur, k_schur_spin, pieri_checks
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_parameters
 from .weak import WeakTableau, weak_strips_from, weak_tableaux
 
 CONVERT_KINDS = ("window", "core", "bounded", "offsets", "code")
@@ -141,12 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     suites = p.add_subparsers(dest="suite", required=True)
     for name, suite in SUITES.items():
         # exact flags only, so that `counts --max` is not read as --max-m
-        s = suites.add_parser(name, description=inspect.getdoc(suite), allow_abbrev=False)
+        # the default formatter collapses the docstring's whitespace
+        s = suites.add_parser(name, description=suite.__doc__, allow_abbrev=False)
         s.add_argument("--n", type=rank, required=True)
-        for param in list(inspect.signature(suite).parameters.values())[1:]:
-            flag = "--max" if param.name == "max_len" else "--" + param.name.replace("_", "-")
-            kind = int if param.name in ("l", "seed", "rmax") else nonnegative  # the rest are counts and bounds
-            s.add_argument(flag, dest=param.name, type=kind, default=param.default)
+        for param, default in list(suite_parameters(suite).items())[1:]:
+            flag = "--max" if param == "max_len" else "--" + param.replace("_", "-")
+            kind = int if param in ("l", "seed", "rmax") else nonnegative  # the rest are counts and bounds
+            s.add_argument(flag, dest=param, type=kind, default=default)
         s.set_defaults(func=cmd_verify)
 
     return parser

@@ -12,10 +12,10 @@ class, and its offset sequence records the transition heights.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import MEMO_SIZE, AffinePermutation, parse_ints, reduced_word
+from .record import Record
 from .strong import NotACover, StrongTableau
 from .weak import WeakTableau
 
@@ -309,16 +309,15 @@ def grassmannians_by_length(n: int, length: int) -> tuple[AffinePermutation, ...
     )
 
 
-@dataclass(frozen=True)
-class StrongCoverOnCores:
-    """Partition-side description of a strong cover mu -> lam = t_{r,s} mu."""
+class StrongCoverOnCores(Record):
+    """Partition-side description of a strong cover mu -> lam = t_{r,s} mu.
+    The components are cell lists, heads ascending."""
 
-    inside: tuple[int, ...]
-    outside: tuple[int, ...]
-    r: int
-    s: int
-    components: tuple[tuple[tuple[int, int], ...], ...]  # cell lists, heads ascending
-    head_diagonals: tuple[int, ...]
+    __slots__ = _fields = ("inside", "outside", "r", "s", "components", "head_diagonals")
+
+    def __init__(self, inside: tuple[int, ...], outside: tuple[int, ...], r: int, s: int,
+                 components: tuple[tuple[tuple[int, int], ...], ...], head_diagonals: tuple[int, ...]):
+        Record.__init__(self, inside, outside, r, s, components, head_diagonals)
 
     @property
     def n_components(self) -> int:

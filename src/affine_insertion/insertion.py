@@ -9,10 +9,9 @@ north and west edges with excitation m_ij.  Matrix indices are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .affperm import AffinePermutation, identity
 from .localrule import AuditStep, FinalPair, InitialTriple, InvalidPair, phi_with_audit, psi_with_audit
+from .record import Record
 from .strong import StrongStrip, StrongTableau
 from .weak import WeakStrip, WeakTableau
 
@@ -38,20 +37,19 @@ class WeightOverflow(ValueError):
     """wt(U) + rowsums(m) exceeds n-1 in some row."""
 
 
-@dataclass(frozen=True)
-class BoundedMatrix:
+class BoundedMatrix(Record):
     """Nonnegative integer matrix with finite support, 1-based indices."""
 
-    entries: dict[tuple[int, int], int]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries: dict[tuple[int, int], int]):
         cleaned = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in entries.items():
             if type(v) is not int or i < 1 or j < 1 or v < 0:
                 raise ValueError(f"bad matrix entry {v!r} at ({i}, {j})")
             if v:
                 cleaned[(i, j)] = v
-        object.__setattr__(self, "entries", cleaned)
+        Record.__init__(self, cleaned)
 
     @classmethod
     def from_rows(cls, rows) -> BoundedMatrix:
@@ -81,7 +79,6 @@ class BoundedMatrix:
         return tuple(sum(v for (_, j), v in self.entries.items() if j == col) for col in range(1, c + 1))
 
 
-@dataclass
 class GrowthDiagram:
     """Computed grid: strong rows, weak columns, entries, audits.
 
@@ -89,13 +86,13 @@ class GrowthDiagram:
     ends there, so the corner is the only vertex stored.
     """
 
-    nrows: int
-    ncols: int
-    corner: AffinePermutation
-    hstrips: dict[tuple[int, int], StrongStrip] = field(default_factory=dict)
-    vstrips: dict[tuple[int, int], WeakStrip] = field(default_factory=dict)
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
-    audits: dict[tuple[int, int], tuple[AuditStep, ...]] = field(default_factory=dict)
+    def __init__(self, nrows: int, ncols: int, corner: AffinePermutation, hstrips=None, vstrips=None,
+                 entries=None, audits=None):
+        self.nrows, self.ncols, self.corner = nrows, ncols, corner
+        self.hstrips: dict[tuple[int, int], StrongStrip] = {} if hstrips is None else hstrips
+        self.vstrips: dict[tuple[int, int], WeakStrip] = {} if vstrips is None else vstrips
+        self.entries: dict[tuple[int, int], int] = {} if entries is None else entries
+        self.audits: dict[tuple[int, int], tuple[AuditStep, ...]] = {} if audits is None else audits
 
     def row_tableau(self, i: int) -> StrongTableau:
         inside = self.vstrips[(i, 0)].outside if i else self.corner

@@ -22,9 +22,9 @@ into irreducible step sequences.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .affperm import AffinePermutation, right_mult_transposition
+from .record import Record
 from .strong import MarkedStrongCover, StrongStrip
 from .weak import WeakStrip, is_bad, is_nice, step_to
 
@@ -61,13 +61,15 @@ class CaseTag(enum.Enum):
     RX = "RX"
 
 
-@dataclass(frozen=True)
-class AuditStep:
+class AuditStep(Record):
     """One insertion step: which case fired, and the pair before and after."""
 
-    case: CaseTag
-    before: "FinalPair | InitialPair"
-    after: "FinalPair | InitialPair"
+    __slots__ = _fields = ("case", "before", "after")
+
+    def __init__(self, case: CaseTag, before: FinalPair | InitialPair, after: FinalPair | InitialPair):
+        object.__setattr__(self, "case", case)
+        object.__setattr__(self, "before", before)
+        object.__setattr__(self, "after", after)
 
 
 class EndpointMismatch(ValueError):
@@ -87,45 +89,43 @@ class InvalidPair(ValueError):
     bounds no growth diagram."""
 
 
-@dataclass(frozen=True)
-class InitialPair:
+class InitialPair(Record):
     """Weak strip and strong strip sharing their inside element."""
 
-    weak: WeakStrip
-    strong: StrongStrip
+    __slots__ = _fields = ("weak", "strong")
 
-    def __post_init__(self):
-        if self.weak.inside != self.strong.inside:
+    def __init__(self, weak: WeakStrip, strong: StrongStrip):
+        if weak.inside != strong.inside:
             raise EndpointMismatch("initial pair must share its inside element")
+        object.__setattr__(self, "weak", weak)
+        object.__setattr__(self, "strong", strong)
 
 
-@dataclass(frozen=True)
-class FinalPair:
+class FinalPair(Record):
     """Weak strip and strong strip sharing their outside element."""
 
-    weak: WeakStrip
-    strong: StrongStrip
+    __slots__ = _fields = ("weak", "strong")
 
-    def __post_init__(self):
-        if self.weak.outside != self.strong.outside:
+    def __init__(self, weak: WeakStrip, strong: StrongStrip):
+        if weak.outside != strong.outside:
             raise EndpointMismatch("final pair must share its outside element")
+        object.__setattr__(self, "weak", weak)
+        object.__setattr__(self, "strong", strong)
 
 
-@dataclass(frozen=True)
-class InitialTriple:
+class InitialTriple(Record):
     """Member of the local rule's domain: initial pair plus e external steps."""
 
-    weak: WeakStrip
-    strong: StrongStrip
-    e: int
+    __slots__ = _fields = ("weak", "strong", "e")
 
-    def __post_init__(self):
-        if self.weak.inside != self.strong.inside:
+    def __init__(self, weak: WeakStrip, strong: StrongStrip, e: int):
+        if weak.inside != strong.inside:
             raise EndpointMismatch("initial triple must share its inside element")
-        if self.e < 0 or self.weak.size + self.e >= self.weak.inside.n:
-            raise PreconditionViolation(
-                f"need size(W) + e < n, got {self.weak.size} + {self.e} vs n={self.weak.inside.n}"
-            )
+        if e < 0 or weak.size + e >= weak.inside.n:
+            raise PreconditionViolation(f"need size(W) + e < n, got {weak.size} + {e} vs n={weak.inside.n}")
+        object.__setattr__(self, "weak", weak)
+        object.__setattr__(self, "strong", strong)
+        object.__setattr__(self, "e", e)
 
 
 def commutes_initial(weak: WeakStrip, cover: MarkedStrongCover) -> bool:

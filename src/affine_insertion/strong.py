@@ -11,13 +11,13 @@ distinct marked covers; their number is the affine Chevalley multiplicity.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 
 from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, canonical_reflection, rotate
 from .affperm import right_mult_transposition
 from .chains import StripChain, walk_chains
+from .record import Record
 
 __all__ = [
     "NotACover",
@@ -93,45 +93,49 @@ def is_strong_cover(w: AffinePermutation, u: AffinePermutation) -> bool:
     return is_cover_pair(w, i, j)
 
 
-@dataclass(frozen=True)
-class MarkedStrongCover:
+class MarkedStrongCover(Record):
     """Strong cover w -> u = w*t_{ij} with a straddling translate i <= l < j.
 
     An outside of None is derived: it becomes w * t_ij, which a given
     outside must equal.  The mark m(C) = w(j) is stored once the checks
     pass.  It is a function of the other fields, so it takes no part in
-    equality, hashing or the dataclass repr."""
+    equality or hashing; nor does the spin, stored when first read."""
 
-    inside: AffinePermutation
-    i: int
-    j: int
-    outside: AffinePermutation | None
-    l: int
-    mark: int = field(init=False, repr=False, compare=False)
+    _fields = ("inside", "i", "j", "outside", "l")
+    __slots__ = (*_fields, "mark", "_spin")
 
-    def __post_init__(self):
-        w, i, j = self.inside, self.i, self.j
-        if not i <= self.l < j:
-            raise NotACover(f"({i},{j}) does not straddle l={self.l}")
+    def __init__(self, inside: AffinePermutation, i: int, j: int, outside: AffinePermutation | None, l: int):
+        w = inside
+        if not i <= l < j:
+            raise NotACover(f"({i},{j}) does not straddle l={l}")
         if not is_cover_pair(w, i, j):
             raise NotACover(f"{w} -({i},{j})-> is not a strong cover")
         u = right_mult_transposition(w, i, j)
-        if self.outside is None:
-            object.__setattr__(self, "outside", u)
-        elif u != self.outside:
+        if outside is None:
+            outside = u
+        elif u != outside:
             raise NotACover("outside element does not match w * t_ij")
+        object.__setattr__(self, "inside", w)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "outside", outside)
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "mark", w(j))
 
-    @cached_property
+    @property
     def spin(self) -> int:
         """c(h - 1) + p: c translates (i + kn, j + kn) straddle l, p of them
         with k < 0, and h - 1 values between w(i) and w(j) sit left of i.  On
         0-Grassmannian elements at level 0 that is cores.spin_of_marked_cover:
         c ribbons of height h, the marked one (p + 1)-th from the top."""
-        w, i, n = self.inside, self.i, self.inside.n
-        p = (self.j - self.l - 1) // n
-        h_1 = sum(1 for v in range(w(i) + 1, self.mark) if w.position_of(v) < i)
-        return ((self.l - i) // n + p + 1) * h_1 + p
+        try:
+            return self._spin
+        except AttributeError:
+            w, i, n = self.inside, self.i, self.inside.n
+            p = (self.j - self.l - 1) // n
+            h_1 = sum(1 for v in range(w(i) + 1, self.mark) if w.position_of(v) < i)
+            object.__setattr__(self, "_spin", ((self.l - i) // n + p + 1) * h_1 + p)
+            return self._spin
 
     def __repr__(self):
         return f"MarkedStrongCover({self.inside} --({self.i},{self.j})@{self.mark}--> {self.outside})"
@@ -191,19 +195,18 @@ def chevalley_multiplicity(w: AffinePermutation, u: AffinePermutation, l: int) -
     return hits
 
 
-@dataclass(frozen=True)
-class StrongStrip:
+class StrongStrip(Record):
     """Chain of marked strong covers with strictly increasing marks.
 
     The constructor checks every junction of the chain; appended and
     prepended extend a strip that is already valid, so they check only the
     junction they add."""
 
-    inside: AffinePermutation
-    covers: tuple[MarkedStrongCover, ...]
+    __slots__ = _fields = ("inside", "covers")
 
-    def __post_init__(self):
-        covers = tuple(self.covers)
+    def __init__(self, inside: AffinePermutation, covers: tuple[MarkedStrongCover, ...]):
+        covers = tuple(covers)
+        object.__setattr__(self, "inside", inside)
         object.__setattr__(self, "covers", covers)
         cur, floor = self.inside, None
         for c in covers:
@@ -334,10 +337,10 @@ def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[Strong
     return strips
 
 
-@dataclass(frozen=True)
 class StrongTableau(StripChain):
     """Chain of strong strips; stored trimmed of trailing empty strips."""
 
+    __slots__ = ()
     order = "strong"
     invalid = InvalidStrongStrip
 

@@ -14,13 +14,13 @@ exact power-series equality and needs no symmetry assumption.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, prod
 from operator import add
 
 from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, dynkin_flip, identity
 from .cores import NotBounded, core_of_bounded, grassmannian_of, grassmannians_by_length, partitions
+from .record import Record
 from .strong import _strong_table, count_strong_tableaux, strong_strips_from, strong_weight_table
 from .weak import count_weak_tableaux, weak_order_lower, weak_order_upper, weak_strips_from, weak_weight_table
 
@@ -105,19 +105,21 @@ def _bounded_vectors(bounds: tuple[int, ...], total: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    symmetric: bool
-    failures: tuple[tuple[tuple[int, ...], tuple[int, ...], int, int], ...] = ()
-    # each failure: (partition, offending composition, count at partition, count there)
+class SymmetryReport(Record):
+    __slots__ = _fields = ("symmetric", "failures")
+
+    def __init__(self, symmetric: bool, failures: tuple = ()):
+        # each failure: (partition, offending composition, count at partition, count there)
+        Record.__init__(self, symmetric, failures)
 
 
-@dataclass(frozen=True)
-class WeightPolynomial:
+class WeightPolynomial(Record):
     """Counts per positive weight composition, all of one total degree."""
 
-    degree: int
-    coeffs: dict[tuple[int, ...], int]
+    __slots__ = _fields = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], int]):
+        Record.__init__(self, degree, coeffs)
 
     def __getitem__(self, comp) -> int:
         key = tuple(c for c in comp if c)
@@ -166,22 +168,20 @@ class WeightPolynomial:
         )
 
 
-@dataclass(frozen=True)
-class SymPolynomial:
+class SymPolynomial(Record):
     """Integer combination of monomial symmetric functions up to a degree."""
 
-    degree: int
-    coeffs: dict[tuple[int, ...], int]
+    __slots__ = _fields = ("degree", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, coeffs: dict[tuple[int, ...], int]):
         cleaned = {}
-        for lam, c in self.coeffs.items():
+        for lam, c in coeffs.items():
             lam = tuple(lam)
-            if sum(lam) > self.degree:
-                raise DegreeOverflow(f"{lam} exceeds degree bound {self.degree}")
+            if sum(lam) > degree:
+                raise DegreeOverflow(f"{lam} exceeds degree bound {degree}")
             if c:
                 cleaned[lam] = c
-        object.__setattr__(self, "coeffs", cleaned)
+        Record.__init__(self, degree, cleaned)
 
     def __add__(self, other: SymPolynomial) -> SymPolynomial:
         out = dict(self.coeffs)
@@ -340,12 +340,13 @@ def k_schur(b, n: int) -> SymPolynomial:
     return _symmetric_monomial(strong_weight_function(u, identity(n), 0), f"k-Schur function of {b}")
 
 
-@dataclass(frozen=True)
-class SpinPolynomial:
+class SpinPolynomial(Record):
     """Coefficients on pairs (partition, spin)."""
 
-    degree: int
-    coeffs: dict[tuple[tuple[int, ...], int], int]
+    __slots__ = _fields = ("degree", "coeffs")
+
+    def __init__(self, degree: int, coeffs: dict[tuple[tuple[int, ...], int], int]):
+        Record.__init__(self, degree, coeffs)
 
     def collapse(self) -> SymPolynomial:
         """Set t = 1: forget the spin grading."""
@@ -367,11 +368,11 @@ def k_schur_spin(b, n: int) -> SpinPolynomial:
     return SpinPolynomial(u.length, coeffs)
 
 
-@dataclass(frozen=True)
-class CauchyReport:
-    ok: bool
-    checked: int
-    mismatches: tuple = ()
+class CauchyReport(Record):
+    __slots__ = _fields = ("ok", "checked", "mismatches")
+
+    def __init__(self, ok: bool, checked: int, mismatches: tuple = ()):
+        Record.__init__(self, ok, checked, mismatches)
 
 
 def _omega_coefficient(n: int, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
@@ -475,12 +476,11 @@ def cauchy_check(
     return CauchyReport(not mismatches, len(lhs), tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class PieriReport:
-    ok: bool
-    variant: str
-    degree: int
-    mismatches: tuple = ()
+class PieriReport(Record):
+    __slots__ = _fields = ("ok", "variant", "degree", "mismatches")
+
+    def __init__(self, ok: bool, variant: str, degree: int, mismatches: tuple = ()):
+        Record.__init__(self, ok, variant, degree, mismatches)
 
 
 def pieri_checks(n: int, l: int, w: AffinePermutation, r: int) -> dict[str, PieriReport]:

@@ -10,11 +10,9 @@ and one flag per later parameter, with its default (`max_len` is `--max`).
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 from .affperm import AffinePermutation, elements_by_length, identity, rotate, simple_reflection
 from .insertion import BoundedMatrix, affine_uninsert, classical_rsk, grassmannian_rsk
@@ -34,15 +32,15 @@ from .cores import (
 from .weak import count_standard_weak, weak_strips_from
 from .symfunc import NotSymmetric, _bounded_vectors, cauchy_check, pieri_checks, strong_schur, weak_schur
 
-__all__ = ["VerifyResult", "SUITES", "run_suite"]
+__all__ = ["VerifyResult", "SUITES", "suite_parameters", "run_suite"]
 
 
-@dataclass
 class VerifyResult:
-    ok: bool
-    lines: list[str] = field(default_factory=list)
-    reports: list[str] = field(default_factory=list)
-    counterexample: str | None = None
+    def __init__(self, ok: bool, lines: list[str] | None = None, reports: list[str] | None = None,
+                 counterexample: str | None = None):
+        self.ok, self.counterexample = ok, counterexample
+        self.lines = [] if lines is None else lines
+        self.reports = [] if reports is None else reports
 
     def fail(self, message: str) -> None:
         self.ok = False
@@ -301,7 +299,14 @@ SUITES = {
 }
 
 
+def suite_parameters(suite) -> dict:
+    """Each parameter of a suite, in order, with its default (None for n, which has none)."""
+    code, defaults = suite.__code__, suite.__defaults__ or ()
+    names = code.co_varnames[: code.co_argcount]
+    return dict(zip(names, (None,) * (len(names) - len(defaults)) + defaults))
+
+
 def run_suite(name: str, args) -> VerifyResult:
     """Run suite `name` on the attributes of `args` that its signature names."""
     suite = SUITES[name]
-    return suite(**{p: getattr(args, p) for p in inspect.signature(suite).parameters})
+    return suite(**{p: getattr(args, p) for p in suite_parameters(suite)})

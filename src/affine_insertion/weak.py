@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .affperm import MEMO_SIZE, AffinePermutation, identity, parse_ints, simple_reflection
 from .chains import StripChain, walk_chains
+from .record import Record
 
 __all__ = [
     "FullSet",
@@ -164,24 +164,21 @@ def cyclically_increasing(n: int, members) -> AffinePermutation:
     return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
 
 
-@dataclass(frozen=True)
-class WeakStrip:
+class WeakStrip(Record):
     """Interval w -> v = c_A * w in left weak order with ell(v) = ell(w) + |A|."""
 
-    inside: AffinePermutation
-    residues: frozenset[int]
-    outside: AffinePermutation
+    __slots__ = _fields = ("inside", "residues", "outside")
 
-    def __post_init__(self):
-        n = self.inside.n
-        a_set = normalize_residues(n, self.residues)
-        object.__setattr__(self, "residues", a_set)
-        if self.outside.n != n:
+    def __init__(self, inside: AffinePermutation, residues: frozenset[int], outside: AffinePermutation):
+        n = inside.n
+        a_set = normalize_residues(n, residues)
+        if outside.n != n:
             raise InvalidStrip("inside and outside rank differ")
-        if not _is_weak_strip(self.inside, a_set, self.outside):
-            raise InvalidStrip(
-                f"{self.inside} -> {self.outside} is not a weak strip for A={sorted(self.residues)}"
-            )
+        if not _is_weak_strip(inside, a_set, outside):
+            raise InvalidStrip(f"{inside} -> {outside} is not a weak strip for A={sorted(a_set)}")
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(self, "residues", a_set)
+        object.__setattr__(self, "outside", outside)
 
     @property
     def size(self) -> int:
@@ -245,10 +242,10 @@ def weak_strips_from(w: AffinePermutation, r: int) -> tuple[WeakStrip, ...]:
     )
 
 
-@dataclass(frozen=True)
 class WeakTableau(StripChain):
     """Chain of weak strips; stored trimmed of trailing empty strips."""
 
+    __slots__ = ()
     order = "weak"
     invalid = InvalidStrip
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import inspect
 import json
@@ -14,6 +13,7 @@ from affine_insertion.affperm import parse_window
 from affine_insertion.cli import build_parser, main
 from affine_insertion.cores import parse_partition
 from affine_insertion.insertion import BoundedMatrix
+from affine_insertion.localrule import InitialTriple
 from affine_insertion.symfunc import NotSymmetric
 from affine_insertion.weak import parse_residue_set
 
@@ -379,7 +379,7 @@ def test_every_suite_passes_its_slice_through_the_cli(capsys, suite, argv):
 def _psi_changing_e(final, l, psi=verify.psi_with_audit):
     back, audit = psi(final, l)
     if back.weak.size + back.e + 1 < back.weak.inside.n:
-        back = dataclasses.replace(back, e=back.e + 1)
+        back = InitialTriple(back.weak, back.strong, back.e + 1)
     return back, audit
 
 
@@ -449,10 +449,12 @@ def test_each_suite_takes_exactly_its_signature(capsys):
             main(["verify", suite, "--help"])
         assert exc.value.code == 0
         usage = capsys.readouterr().out.split("\n\n")[0]
-        params = list(inspect.signature(fn).parameters)
-        assert params[0] == "n"
-        expected = {"--n"} | {"--max" if p == "max_len" else "--" + p.replace("_", "-") for p in params[1:]}
+        params = list(inspect.signature(fn).parameters.values())
+        assert params[0].name == "n"
+        expected = {"--n"} | {"--max" if p.name == "max_len" else "--" + p.name.replace("_", "-") for p in params[1:]}
         assert set(re.findall(r"--[a-z-]+", usage)) == expected
+        parsed = build_parser().parse_args(["verify", suite, "--n", "3"])
+        assert all(getattr(parsed, p.name) == p.default for p in params[1:]), suite
         pairs += len(expected)
     assert pairs == 26
 
