@@ -13,8 +13,10 @@ read each new corner off the strong side, and the square identity is
 WeakStrip's check (InvalidStrip).  Going forward a new cover derives its
 outside x = v * t_ab (outside None), skipping only the comparison that is
 true by construction, and the strip (u, A', x) checks c_A' * u = x.  Going
-back the new inside corner is w = u * t_ab, and (w, A', v) checks
-c_A' * w = v.  No product c_A' * u is built.  Case tags are recorded
+back a new cover derives its inside w = u * t_ab (inside None), skipping
+only the comparison w * t_ab = u, true as t_ab is an involution; its
+straddle and cover test still run, and (w, A', v) checks c_A' * w = v.
+No product c_A' * u is built.  Case tags are recorded
 in an audit trail for debugging and for the roundtrip tests' factorization
 into irreducible step sequences.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import enum
 
-from .affperm import AffinePermutation, right_mult_transposition
+from .affperm import AffinePermutation
 from .record import Record
 from .strong import MarkedStrongCover, StrongStrip
 from .weak import WeakStrip, is_bad, is_nice, step_to
@@ -152,32 +154,23 @@ def _low_window(perm: AffinePermutation, l: int) -> list[int]:
     return [x + (q - 1) * n for x in win[r:]] + [x + q * n for x in win[:r]]
 
 
-def _largest_below(value: int, bound: int, n: int) -> int:
-    """Largest value - kn (k >= 0) strictly below bound."""
-    if value < bound:
-        return value
-    return value - ((value - bound) // n + 1) * n
-
-
-def _smallest_above(value: int, bound: int, n: int) -> int | None:
-    """Smallest value - kn (k >= 0) strictly above bound, or None."""
-    if value <= bound:
-        return None
-    return value - (value - bound - 1) // n * n
-
-
 def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: int | None) -> int:
     """Largest q with pred(n, a_set, q) and perm^{-1}(q) <= l (and q < bound if given).
 
     Candidates per residue class are the window values perm(m), m in
-    (l-n, l], shifted below the bound; the shift keeps the position <= l.
+    (l-n, l], shifted down by multiples of n to the largest below the bound;
+    the shift keeps the position <= l and the residue, so pred (is_nice
+    tests the residue of q - 1, is_bad that of q) is read before it.
     """
     n = perm.n
+    off = 1 if pred is is_nice else 0
     best = None
     for q in _low_window(perm, l):
-        if bound is not None:
-            q = _largest_below(q, bound, n)
-        if pred(n, a_set, q) and (best is None or q > best):
+        if (q - off) % n in a_set:
+            continue
+        if bound is not None and q >= bound:
+            q -= ((q - bound) // n + 1) * n
+        if best is None or q > best:
             best = q
     if best is None:
         raise PreconditionViolation(
@@ -187,12 +180,15 @@ def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: in
 
 
 def _min_nice_above_at_low_position(perm: AffinePermutation, a_set, l: int, bound: int) -> int | None:
-    """Smallest A-nice q > bound with perm^{-1}(q) <= l, or None (condition B)."""
+    """Smallest A-nice q > bound with perm^{-1}(q) <= l, or None (condition B):
+    each window value above the bound, shifted down to the smallest above it."""
     n = perm.n
     best = None
-    for value in _low_window(perm, l):
-        q = _smallest_above(value, bound, n)
-        if q is not None and is_nice(n, a_set, q) and (best is None or q < best):
+    for q in _low_window(perm, l):
+        if q <= bound or (q - 1) % n in a_set:
+            continue
+        q -= (q - bound - 1) // n * n
+        if best is None or q < best:
             best = q
     return best
 
@@ -317,12 +313,8 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     if u(a) > u(b):  # commutes_final, whose endpoint check is the one above
         # Case RA: with A' empty, u = outside(C) and u * t_ab = v, so a cover
         # marked at l is reused.
-        if not a_set and cover.l == l:
-            w, new_cover = v, cover
-        else:
-            w = right_mult_transposition(u, a, b)
-            new_cover = MarkedStrongCover(w, a, b, u, l)
-        return InitialPair(WeakStrip(w, a_set, v), s1.prepended(new_cover)), CaseTag.RA
+        new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(None, a, b, u, l)
+        return InitialPair(WeakStrip(new_cover.inside, a_set, v), s1.prepended(new_cover)), CaseTag.RA
 
     if is_nice(n, a_set, u(b)):
         raise InvalidPair("noncommuting reverse step requires the bumped residue in A'")
@@ -346,26 +338,19 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         q = q_b
         p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
-        i, j = u.position_of(q), u.position_of(p)
-        w = right_mult_transposition(u, i, j)
-        new_cover = MarkedStrongCover(w, i, j, u, l)
-        return InitialPair(WeakStrip(w, a_new, v), s1.prepended(new_cover)), CaseTag.RB
+        new_cover = MarkedStrongCover(None, u.position_of(q), u.position_of(p), u, l)
+        return InitialPair(WeakStrip(new_cover.inside, a_new, v), s1.prepended(new_cover)), CaseTag.RB
 
     if q_c is not None:
         # Case RC
         q = q_c
         p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
-        i1, j1 = s1.first.i, s1.first.j
-        z = s1.first.outside
-        j_plus = z.position_of(p)
-        u_prime = right_mult_transposition(z, i1, j_plus)
-        w = right_mult_transposition(u_prime, i1, j1)
-        spliced = StrongStrip(
-            w,
-            (MarkedStrongCover(w, i1, j1, u_prime, l), MarkedStrongCover(u_prime, i1, j_plus, z, l))
-            + s1.covers[1:],
-        )
+        i1, j1, z = s1.first.i, s1.first.j, s1.first.outside
+        second = MarkedStrongCover(None, i1, z.position_of(p), z, l)  # u' -> z
+        first = MarkedStrongCover(None, i1, j1, second.inside, l)  # w -> u'
+        w = first.inside
+        spliced = StrongStrip(w, (first, second) + s1.covers[1:])
         return InitialPair(WeakStrip(w, a_new, v), spliced), CaseTag.RC
 
     raise InvalidPair("neither condition B nor condition C holds with a nonempty strip")

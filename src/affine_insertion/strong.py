@@ -58,6 +58,12 @@ def is_cover_pair(w: AffinePermutation, i: int, j: int) -> bool:
     wi, wj = w(i), w(j)
     if wi >= wj:
         return False
+    if wj - wi < j - i:  # the shorter side: the values in (wi, wj), not the positions
+        pos = w.position_of
+        for v in range(wi + 1, wj):
+            if i < pos(v) < j:
+                return False
+        return True
     for k in range(i, j - 1):  # w(k + 1) for k + 1 in (i, j), off the stored window
         q, r = divmod(k, n)
         if wi <= win[r] + q * n <= wj:
@@ -97,24 +103,28 @@ class MarkedStrongCover(Record):
     """Strong cover w -> u = w*t_{ij} with a straddling translate i <= l < j.
 
     An outside of None is derived: it becomes w * t_ij, which a given
-    outside must equal.  The mark m(C) = w(j) is stored once the checks
-    pass.  It is a function of the other fields, so it takes no part in
-    equality or hashing; nor does the spin, stored when first read."""
+    outside must equal.  An inside of None is derived too: it becomes
+    u * t_ij, and since t_ij is an involution that skips only the comparison
+    w * t_ij = u; the straddle and the cover test still run.  The mark
+    m(C) = w(j) is stored once the checks pass.  It is a function of the
+    other fields, so it takes no part in equality or hashing; nor does the
+    spin, stored when first read."""
 
     _fields = ("inside", "i", "j", "outside", "l")
     __slots__ = (*_fields, "mark", "_spin")
 
-    def __init__(self, inside: AffinePermutation, i: int, j: int, outside: AffinePermutation | None, l: int):
-        w = inside
+    def __init__(self, inside: AffinePermutation | None, i: int, j: int, outside: AffinePermutation | None, l: int):
         if not i <= l < j:
             raise NotACover(f"({i},{j}) does not straddle l={l}")
+        w = right_mult_transposition(outside, i, j) if inside is None else inside
         if not is_cover_pair(w, i, j):
             raise NotACover(f"{w} -({i},{j})-> is not a strong cover")
-        u = right_mult_transposition(w, i, j)
-        if outside is None:
-            outside = u
-        elif u != outside:
-            raise NotACover("outside element does not match w * t_ij")
+        if inside is not None:
+            u = right_mult_transposition(w, i, j)
+            if outside is None:
+                outside = u
+            elif u != outside:
+                raise NotACover("outside element does not match w * t_ij")
         object.__setattr__(self, "inside", w)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)

@@ -206,7 +206,12 @@ def _is_weak_strip(w: AffinePermutation, a_set: frozenset[int], v: AffinePermuta
     if v.window != tuple([x + shifts[x % n] for x in w.window]):
         return False
     pos = w.position_of
-    return all(min(map(pos, range(s + 1, s + k + 1))) > pos(s) for s, k in runs)
+    for s, k in runs:
+        p = pos(s)
+        for x in range(s + 1, s + k + 1):
+            if pos(x) <= p:
+                return False
+    return True
 
 
 def weak_strip_length_check(w: AffinePermutation, members, v: AffinePermutation) -> bool:

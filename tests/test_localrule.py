@@ -37,7 +37,7 @@ from affine_insertion.localrule import (
     reverse_insert,
 )
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip, marked_covers_above, strong_strips_from
-from affine_insertion.weak import InvalidStrip, WeakStrip, weak_strips_from
+from affine_insertion.weak import InvalidStrip, WeakStrip, is_bad, is_nice, weak_strips_from
 
 W = from_window
 
@@ -332,6 +332,43 @@ def test_phi_and_psi_commute_with_rotate(case, k):
     assert psi(rotated_final, l + k) == rotated_triple
 
 
+def _brute_max(perm, pred, a_set, l, bound):
+    n = perm.n
+    qs = [q for q in map(perm, range(l - 3 * n + 1, l + 1)) if pred(n, a_set, q) and (bound is None or q < bound)]
+    return max(qs, default=None)
+
+
+def _brute_min_nice_above(perm, a_set, l, bound):
+    n = perm.n
+    return min((q for q in map(perm, range(l - 3 * n + 1, l + 1)) if q > bound and is_nice(n, a_set, q)), default=None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), max_size=30).map(lambda word: from_reduced_word(n, word)),
+    st.frozensets(st.integers(0, n - 1)),
+    st.integers(-6, 6),
+    st.integers(-2 * n + 1, 2 * n),
+    st.booleans(),
+)))
+def test_low_position_scanners_match_brute_force(case):
+    # a bound above max(perm(m), m in (l - n, l]) - 2n keeps every candidate's
+    # position in (l - 3n, l], where the brute force searches
+    perm, a_set, l, d, bounded = case
+    bound = max(map(perm, range(l - perm.n + 1, l + 1))) + d
+    max_bound = bound if bounded else None
+    for pred in (is_nice, is_bad):
+        expected = _brute_max(perm, pred, a_set, l, max_bound)
+        if expected is None:  # only a full a_set admits no integer
+            with pytest.raises(PreconditionViolation, match=pred.__name__):
+                localrule._max_at_low_position(perm, pred, a_set, l, max_bound)
+        else:
+            assert localrule._max_at_low_position(perm, pred, a_set, l, max_bound) == expected
+    assert localrule._min_nice_above_at_low_position(perm, a_set, l, bound) == _brute_min_nice_above(
+        perm, a_set, l, bound
+    )
+
+
 # The Case B, C and X fixtures above, as steps with thunks for their
 # inputs, for the planted-error test, each with the neighbour of its bumped
 # integer p that still yields a genuine weak strip and straddling cover, so
@@ -404,43 +441,73 @@ def test_planted_wrong_square_raises(monkeypatch, case, owner, helper, plant):
 
 
 # The Case RA, RB and RC fixtures above, each with a nonempty A', as thunks
-# for the planted reverse-square test.
+# for their inputs, with the error the step's own check raises when the
+# product its new covers derive their insides from is planted wrong.
 REVERSE_SQUARE_CASES = {
-    "RA": lambda: reverse_insert(
+    "RA": (NotACover, lambda: (
         InitialPair(wstrip(4, [1, 8, -2, 3], {1}, [2, 8, -3, 3]), empty_strip(4, [1, 8, -2, 3])),
         cover(4, [4, 6, -3, 3], -2, 1, [2, 8, -3, 3]),
         0,
-    ),
-    "RB": lambda: reverse_insert(
+    )),
+    "RB": (NotACover, lambda: (
         InitialPair(
             wstrip(6, [3, 0, 1, 11, -2, 8], {2, 3, 5}, [2, -1, 1, 12, -3, 10]),
             empty_strip(6, [3, 0, 1, 11, -2, 8]),
         ),
         cover(6, [4, -1, 1, 12, -3, 8], 0, 1, [2, -1, 1, 12, -3, 10]),
         0,
-    ),
-    "RC": lambda: reverse_insert(
+    )),
+    "RC": (InvalidStrip, lambda: (
         InitialPair(
             wstrip(4, [4, 5, -2, 3], {1}, [4, 6, -3, 3]),
             StrongStrip(W(4, [4, 5, -2, 3]), (cover(4, [4, 5, -2, 3], -2, 1, [1, 8, -2, 3]),)),
         ),
         cover(4, [4, 5, -2, 3], -2, 7, [4, 6, -3, 3]),
         0,
-    ),
+    )),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REVERSE_SQUARE_CASES))
 def test_planted_wrong_reverse_square_raises(monkeypatch, case):
-    step = REVERSE_SQUARE_CASES[case]
-    assert step()[1].value == case  # the unplanted step succeeds
-    real = localrule.right_mult_transposition
-    # w * t_ij * s_0 instead of w * t_ij: the new inside corner is wrong
-    monkeypatch.setattr(
-        localrule, "right_mult_transposition", lambda w, i, j: real(w, i, j) * simple_reflection(w.n, 0)
-    )
-    with pytest.raises(ValueError):
-        step()
+    error, inputs = REVERSE_SQUARE_CASES[case]
+    args = inputs()
+    assert reverse_insert(*args)[1].value == case  # the unplanted step succeeds
+    real = strong.right_mult_transposition
+    # u * t_ij * s_0 instead of u * t_ij: the new inside corner is wrong
+    monkeypatch.setattr(strong, "right_mult_transposition", lambda w, i, j: real(w, i, j) * simple_reflection(w.n, 0))
+    # the inputs were built unplanted, so the raise is the step's own check
+    with pytest.raises(error):
+        reverse_insert(*args)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_reverse_steps_derive_each_inside_once(monkeypatch, n):
+    # a new reverse cover derives its inside from its outside: one product
+    # per new cover (RA and RB one, RC two), none for a reused cover or RX
+    l, calls, seen = 0, [], set()
+    real_product, real_step = strong.right_mult_transposition, localrule.reverse_insert
+
+    def counted_product(w, i, j):
+        calls.append(1)
+        return real_product(w, i, j)
+
+    def counted_step(pair, cover, l):
+        calls.clear()
+        out, tag = real_step(pair, cover, l)
+        reused = tag is CaseTag.RA and out.strong.first is cover
+        expected = {CaseTag.RA: 0 if reused else 1, CaseTag.RB: 1, CaseTag.RC: 2, CaseTag.RX: 0}[tag]
+        assert len(calls) == expected, (tag, pair, cover)
+        seen.add((tag, reused))
+        return out, tag
+
+    finals = [phi(triple, l) for triple in _small_triples(n, l)]
+    monkeypatch.setattr(strong, "right_mult_transposition", counted_product)
+    monkeypatch.setattr(localrule, "reverse_insert", counted_step)
+    for final in finals:
+        psi(final, l)
+    assert {tag for tag, _ in seen} == {CaseTag.RA, CaseTag.RB, CaseTag.RC, CaseTag.RX}
+    assert (CaseTag.RA, True) in seen and (CaseTag.RA, False) in seen
 
 
 def _exhaustive_empty_strip_triples(n, l):
@@ -499,7 +566,7 @@ def test_pass_through_rebuilds_covers_marked_at_another_level():
 # Run under python -O, where assert statements are stripped: the square
 # identity, the strip test and the cover test must still raise.
 OPTIMIZED_CHECKS = """
-from affine_insertion import localrule, strong
+from affine_insertion import strong
 from affine_insertion.affperm import from_window as W, identity, right_mult_transposition, simple_reflection
 from affine_insertion.localrule import FinalPair, InitialPair, external_insert, reverse_insert
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip
@@ -528,16 +595,13 @@ print("square", raised(InvalidStrip, case_x))
 strong.right_mult_transposition = right_mult_transposition
 
 
-def case_ra():
-    inside, outside = W(4, [1, 8, -2, 3]), W(4, [2, 8, -3, 3])
-    pair = InitialPair(WeakStrip(inside, frozenset({1}), outside), StrongStrip(inside, ()))
-    return reverse_insert(pair, MarkedStrongCover(W(4, [4, 6, -3, 3]), -2, 1, outside, 0), 0)
-
-
-case_ra()  # the unplanted step succeeds
-localrule.right_mult_transposition = lambda w, i, j: right_mult_transposition(w, i, j) * simple_reflection(w.n, 0)
-print("reverse square", raised(ValueError, case_ra))
-localrule.right_mult_transposition = right_mult_transposition
+inside, outside = W(4, [1, 8, -2, 3]), W(4, [2, 8, -3, 3])
+ra_pair = InitialPair(WeakStrip(inside, frozenset({1}), outside), StrongStrip(inside, ()))
+ra_cover = MarkedStrongCover(W(4, [4, 6, -3, 3]), -2, 1, outside, 0)
+reverse_insert(ra_pair, ra_cover, 0)  # the unplanted step succeeds
+strong.right_mult_transposition = lambda w, i, j: right_mult_transposition(w, i, j) * simple_reflection(w.n, 0)
+print("reverse square", raised(NotACover, lambda: reverse_insert(ra_pair, ra_cover, 0)))
+strong.right_mult_transposition = right_mult_transposition
 
 e, s0 = identity(3), simple_reflection(3, 0)
 print("strip product", raised(InvalidStrip, lambda: WeakStrip(e, frozenset({0}), e)))
@@ -546,6 +610,8 @@ t02 = right_mult_transposition(e, 0, 2)
 print("cover straddle", raised(NotACover, lambda: MarkedStrongCover(e, 1, 2, right_mult_transposition(e, 1, 2), 0)))
 print("cover interval", raised(NotACover, lambda: MarkedStrongCover(e, 0, 2, t02, 0)))
 print("cover square", raised(NotACover, lambda: MarkedStrongCover(e, 0, 1, t02, 0)))
+print("derived cover straddle", raised(NotACover, lambda: MarkedStrongCover(None, 1, 2, t02, 0)))
+print("derived cover interval", raised(NotACover, lambda: MarkedStrongCover(None, 0, 1, e, 0)))
 """
 
 
@@ -565,5 +631,7 @@ def test_checks_survive_python_O():
         "cover straddle True",
         "cover interval True",
         "cover square True",
+        "derived cover straddle True",
+        "derived cover interval True",
         "",
     ]

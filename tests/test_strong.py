@@ -2,6 +2,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_insertion.affperm import (
     elements_by_length,
@@ -251,7 +253,8 @@ def test_strip_render():
 
 
 def _cover_pair_by_evaluation(w, i, j):
-    """Reference for is_cover_pair: evaluate w at every position between i and j."""
+    """Reference for is_cover_pair: evaluate w at every position between i and
+    j, the scan it makes when those positions are fewer than the values."""
     if i >= j or (i - j) % w.n == 0:
         return False
     wi, wj = w(i), w(j)
@@ -261,11 +264,61 @@ def _cover_pair_by_evaluation(w, i, j):
 
 
 def test_cover_pair_window_scan_equals_evaluation():
-    triples = 0
+    # at n = 3 and 4 also against is_strong_cover; both scans are reached
+    triples, scans = 0, Counter()
     for n, max_len in ((2, 5), (3, 5), (4, 5), (5, 4)):
         for w in (w for level in elements_by_length(n, max_len) for w in level):
             for i in range(-n, n + 1):
                 for j in range(i + 1, i + 4 * n):
-                    assert is_cover_pair(w, i, j) == _cover_pair_by_evaluation(w, i, j), (w, i, j)
+                    got = is_cover_pair(w, i, j)
+                    assert got == _cover_pair_by_evaluation(w, i, j), (w, i, j)
+                    if n in (3, 4) and (j - i) % n:
+                        assert got == is_strong_cover(w, right_mult_transposition(w, i, j)), (w, i, j)
+                    if w(i) < w(j):
+                        scans["values" if w(j) - w(i) < j - i else "positions"] += got
                     triples += 1
     assert triples == 46596
+    assert scans["values"] and scans["positions"]
+
+
+def test_cover_pair_scans_agree_up_to_n9():
+    scans = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), max_size=40).map(lambda word: from_reduced_word(n, word)),
+        st.integers(-2 * n, 2 * n),
+        st.integers(1, 10 * n),
+        st.booleans(),
+    )))
+    def check(case):
+        # j is i + d, or the position of the value w(i) + d
+        w, i, d, by_value = case
+        j = w.position_of(w(i) + d) if by_value else i + d
+        i, j = min(i, j), max(i, j)
+        got = is_cover_pair(w, i, j)
+        assert got == _cover_pair_by_evaluation(w, i, j)
+        if got:
+            scans.add(w(j) - w(i) < j - i)
+
+    check()
+    assert scans == {True, False}
+
+
+@pytest.mark.parametrize("n, max_len", [(3, 5), (4, 5)])
+def test_cover_derived_from_its_outside(n, max_len):
+    # MarkedStrongCover(None, i, j, u, l) derives its inside u * t_ij and
+    # equals the cover built with it; a pair that is no cover still raises
+    l, derived, refused = 0, 0, 0
+    for u in (u for level in elements_by_length(n, max_len) for u in level):
+        for c in marked_covers_below(u, l):
+            d = MarkedStrongCover(None, c.i, c.j, u, l)
+            assert d == c and (d.inside, d.mark, d.spin) == (c.inside, c.mark, c.spin)
+            derived += 1
+        for i in range(l - n + 1, l + 1):
+            for j in range(i + 1, i + 3 * n + 1):
+                if j <= l or not is_cover_pair(right_mult_transposition(u, i, j), i, j):
+                    with pytest.raises(NotACover):
+                        MarkedStrongCover(None, i, j, u, l)
+                    refused += 1
+    assert derived and refused
