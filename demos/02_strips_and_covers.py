@@ -13,10 +13,10 @@ from affine_insertion import (
     format_window,
     from_reduced_word,
     marked_covers_above,
-    strong_cover_cores,
     strong_strips_from,
     weak_strips_from,
 )
+from affine_insertion.oracles import strong_cover_cores
 
 w = from_reduced_word(3, [2, 0])
 print("w =", format_window(w), "  core:", format_partition(core_of(w)))

@@ -34,10 +34,7 @@ from .weak import (
     apply_cA,
     count_standard_weak,
     count_weak_tableaux,
-    cyclic_components,
     cyclically_decreasing,
-    cyclically_increasing,
-    weak_strip_between,
     weak_strips_from,
     weak_tableaux,
 )
@@ -45,10 +42,8 @@ from .strong import (
     MarkedStrongCover,
     StrongStrip,
     StrongTableau,
-    chevalley_multiplicity,
     count_standard_strong,
     count_strong_tableaux,
-    is_strong_cover,
     marked_covers_above,
     marked_covers_below,
     strong_strips_from,
@@ -59,8 +54,6 @@ from .localrule import (
     FinalPair,
     InitialPair,
     InitialTriple,
-    commutes_final,
-    commutes_initial,
     external_insert,
     internal_insert,
     phi,
@@ -74,7 +67,6 @@ from .insertion import (
     affine_insert,
     affine_uninsert,
     classical_rsk,
-    classical_unrsk,
     grassmannian_rsk,
 )
 from .cores import (
@@ -94,9 +86,7 @@ from .cores import (
     partitions,
     render_strong_tableau,
     render_weak_tableau,
-    spin_of_marked_cover,
     spin_tableau,
-    strong_cover_cores,
 )
 from .symfunc import (
     SymPolynomial,

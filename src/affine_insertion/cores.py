@@ -1,7 +1,7 @@
 """
 Partition-side combinatorics: edge sequences, n-cores, offset sequences,
-the core / Grassmannian / bounded-partition bijections, strong covers on
-cores, the spin statistic, and tableau rendering.
+the core / Grassmannian / bounded-partition bijections, the spin of a
+strong tableau, and tableau rendering.
 
 Partitions are tuples of weakly decreasing positive integers.  The edge
 sequence of a partition has bit 1 exactly at the diagonals lam_i - i; an
@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation, parse_ints, reduced_word
-from .record import Record
-from .strong import NotACover, StrongTableau
+from .affperm import MEMO_SIZE, AffinePermutation, parse_ints
+from .strong import StrongTableau
 from .weak import WeakTableau
 
 __all__ = [
     "NotACore",
     "NotBounded",
-    "NotACover",
     "NotGrassmannianChain",
     "check_partition",
     "conjugate",
@@ -34,7 +32,6 @@ __all__ = [
     "addable_corners",
     "removable_corners",
     "apply_simple",
-    "act_on_partition",
     "offsets",
     "core_from_offsets",
     "core_of",
@@ -44,9 +41,6 @@ __all__ = [
     "k_conjugate",
     "partitions",
     "grassmannians_by_length",
-    "StrongCoverOnCores",
-    "strong_cover_cores",
-    "spin_of_marked_cover",
     "spin_tableau",
     "weak_tableau_filling",
     "strong_tableau_filling",
@@ -154,14 +148,6 @@ def apply_simple(lam, r: int, n: int) -> tuple[int, ...]:
         if (j - i) % n == r % n:
             rows[i - 1] -= 1
     return tuple(a for a in rows if a)
-
-
-def act_on_partition(w: AffinePermutation, lam) -> tuple[int, ...]:
-    """Action of a group element through any reduced word, right to left."""
-    out = check_partition(lam)
-    for r in reversed(reduced_word(w)):
-        out = apply_simple(out, r, w.n)
-    return out
 
 
 def _class_maxima(lam, n: int) -> dict[int, int]:
@@ -309,144 +295,23 @@ def grassmannians_by_length(n: int, length: int) -> tuple[AffinePermutation, ...
     )
 
 
-class StrongCoverOnCores(Record):
-    """Partition-side description of a strong cover mu -> lam = t_{r,s} mu.
-    The components are cell lists, heads ascending."""
-
-    __slots__ = _fields = ("inside", "outside", "r", "s", "components", "head_diagonals")
-
-    def __init__(self, inside: tuple[int, ...], outside: tuple[int, ...], r: int, s: int,
-                 components: tuple[tuple[tuple[int, int], ...], ...], head_diagonals: tuple[int, ...]):
-        Record.__init__(self, inside, outside, r, s, components, head_diagonals)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
-    def ribbon_size(self) -> int:
-        return self.s - self.r
-
-    @property
-    def ribbon_height(self) -> int:
-        comp = self.components[0]
-        return len({i for i, _ in comp})
-
-    @property
-    def mark_options(self) -> tuple[int, ...]:
-        """Legal marks; the marked ribbon's head sits on diagonal mark - 1."""
-        return tuple(d + 1 for d in self.head_diagonals)
-
-
-def _skew_components(lam, mu) -> list[list[tuple[int, int]]]:
-    comps = []
-    remaining = set(cells(lam, mu))
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i, j = frontier.pop()
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in remaining:
-                    remaining.remove(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        comps.append(sorted(comp))
-    comps.sort(key=lambda comp: max(j - i for i, j in comp))
-    return comps
-
-
-def strong_cover_cores(mu, lam, n: int) -> StrongCoverOnCores:
-    """Detect the cover mu -> lam between n-cores and describe it.
-
-    The reflection comes from the offset sequences, the ribbons from the
-    diagrams; the two views are cross-checked against each other.
-    """
-    mu = check_partition(mu)
-    lam = check_partition(lam)
-    d_mu, d_lam = offsets(mu, n), offsets(lam, n)
-    if not contains(lam, mu) or d_mu == d_lam:
-        raise NotACover(f"{mu} -> {lam} is not a strong cover of {n}-cores")
-    diff = [i for i in range(1, n + 1) if d_mu[i - 1] != d_lam[i - 1]]
-    if len(diff) != 2:
-        raise NotACover(f"{mu} -> {lam} moves more than one reflection")
-
-    def ext(d, x):  # extended offsets: D(x + n) = D(x) - 1
-        q, r = divmod(x - 1, n)
-        return d[r] - q
-
-    found = None
-    for a, b in ((diff[0], diff[1]), (diff[1], diff[0])):
-        k = d_mu[b - 1] - d_lam[a - 1]
-        s = b + k * n
-        if s <= a:
-            continue
-        if ext(d_lam, s) != d_mu[a - 1]:
-            continue
-        if not (ext(d_mu, a) > ext(d_mu, s) and s - a < n):
-            continue
-        # cover criterion on offsets: no intermediate class lands between
-        if any(ext(d_mu, s) <= ext(d_mu, i) <= ext(d_mu, a) for i in range(a + 1, s)):
-            continue
-        found = (a, s)
-        break
-    if found is None:
-        raise NotACover(f"{mu} -> {lam} is not a single strong cover")
-    r, s = found
-
-    comps = _skew_components(lam, mu)
-    heads = tuple(max(j - i for i, j in comp) for comp in comps)
-    n_comp = ext(d_mu, r) - ext(d_mu, s)
-    if len(comps) != n_comp:
-        raise NotACover("component count disagrees with the offset picture")
-    sizes = {len(c) for c in comps}
-    if sizes != {s - r}:
-        raise NotACover("ribbon sizes disagree with the reflection")
-    if any((h - (s - 1)) % n for h in heads):
-        raise NotACover("ribbon heads off the expected residue diagonal")
-    if list(heads) != [heads[0] + c * n for c in range(len(heads))]:
-        raise NotACover("ribbon heads not on consecutive diagonals")
-    return StrongCoverOnCores(mu, lam, r, s, tuple(tuple(c) for c in comps), heads)
-
-
-def spin_of_marked_cover(mu, lam, n: int, mark: int) -> int:
-    """spin = (components)*(height - 1) + (index of marked ribbon from top - 1).
-
-    The marked ribbon is the one whose head lies on diagonal mark - 1;
-    ribbons are counted from the top, i.e. ascending head diagonal.
-    """
-    return _spin_of_cover(check_partition(mu), check_partition(lam), n, mark)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _spin_of_cover(mu: tuple[int, ...], lam: tuple[int, ...], n: int, mark: int) -> int:
-    """spin_of_marked_cover on partitions already normalised to tuples;
-    memoised, so each cover is described and cross-checked once."""
-    desc = strong_cover_cores(mu, lam, n)
-    if mark - 1 not in desc.head_diagonals:
-        raise NotACover(f"no ribbon head on diagonal {mark - 1}")
-    position = desc.head_diagonals.index(mark - 1)
-    return desc.n_components * (desc.ribbon_height - 1) + position
-
-
-def _grassmannian_chain_cores(elements) -> list[tuple[int, ...]]:
-    out = []
+def _check_grassmannian_chain(elements) -> None:
     for w in elements:
         if not w.is_grassmannian(0):
             raise NotGrassmannianChain(f"{w} is not 0-Grassmannian")
-        out.append(core_of(w))
-    return out
+
+
+def _grassmannian_chain_cores(elements) -> list[tuple[int, ...]]:
+    _check_grassmannian_chain(elements)
+    return [core_of(w) for w in elements]
 
 
 def spin_tableau(t: StrongTableau) -> int:
-    """Total spin of a strong tableau over a Grassmannian chain."""
+    """Total spin of a strong tableau over a Grassmannian chain: the sum of
+    its covers' spins (MarkedStrongCover.spin, read off the window)."""
     covers = t.covers()
-    chain = _grassmannian_chain_cores([t.inside] + [c.outside for c in covers])
-    return sum(
-        spin_of_marked_cover(mu, lam, t.inside.n, cover.mark)
-        for cover, mu, lam in zip(covers, chain, chain[1:])
-    )
+    _check_grassmannian_chain([t.inside] + [c.outside for c in covers])
+    return sum(c.spin for c in covers)
 
 
 def weak_tableau_filling(u_tab: WeakTableau) -> dict[tuple[int, int], int]:

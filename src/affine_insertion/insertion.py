@@ -25,7 +25,6 @@ __all__ = [
     "affine_uninsert",
     "grassmannian_rsk",
     "classical_rsk",
-    "classical_unrsk",
 ]
 
 
@@ -240,27 +239,3 @@ def _row_insert(p_rows, q_rows, rec: int, val: int) -> None:
             q_rows[r].append(rec)
             return
         r += 1
-
-
-def classical_unrsk(p_rows, q_rows) -> BoundedMatrix:
-    """Inverse of classical_rsk, reading the recording tableau backwards."""
-    p = [list(r) for r in p_rows]
-    q = [list(r) for r in q_rows]
-    # undo in reverse biword order: descending record, then rightmost cell
-    cells = sorted(
-        ((rec, r, c) for r, row in enumerate(q) for c, rec in enumerate(row)),
-        key=lambda t: (t[0], t[2]),
-    )
-    entries: dict[tuple[int, int], int] = {}
-    while cells:
-        rec, r, c = cells.pop()
-        if c != len(q[r]) - 1:
-            raise ValueError(f"not a recording tableau: {q_rows}")
-        q[r].pop()
-        val = p[r].pop(c)
-        for rr in range(r - 1, -1, -1):
-            row = p[rr]
-            k = max(idx for idx, entry in enumerate(row) if entry < val)
-            row[k], val = val, row[k]
-        entries[(rec, val)] = entries.get((rec, val), 0) + 1
-    return BoundedMatrix(entries)

@@ -40,8 +40,6 @@ __all__ = [
     "InitialPair",
     "FinalPair",
     "InitialTriple",
-    "commutes_initial",
-    "commutes_final",
     "internal_insert",
     "external_insert",
     "reverse_insert",
@@ -130,22 +128,6 @@ class InitialTriple(Record):
         object.__setattr__(self, "e", e)
 
 
-def commutes_initial(weak: WeakStrip, cover: MarkedStrongCover) -> bool:
-    """The initial pair (W, C) commutes iff v(i) < v(j) for v = outside(W)."""
-    if weak.inside != cover.inside:
-        raise EndpointMismatch("initial pair must share its inside element")
-    v = weak.outside
-    return v(cover.i) < v(cover.j)
-
-
-def commutes_final(weak: WeakStrip, cover: MarkedStrongCover) -> bool:
-    """The final pair (W', C') commutes iff u(a) > u(b) for u = inside(W')."""
-    if weak.outside != cover.outside:
-        raise EndpointMismatch("final pair must share its outside element")
-    u = weak.inside
-    return u(cover.i) > u(cover.j)
-
-
 def _low_window(perm: AffinePermutation, l: int) -> list[int]:
     """The values perm(m) at the n positions m in (l - n, l], read off the
     stored window shifted by multiples of n."""
@@ -209,7 +191,7 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     v = weak.outside
     i, j = cover.i, cover.j
 
-    if v(i) < v(j):  # commutes_initial, whose endpoint check is the one above
+    if v(i) < v(j):  # (W, C) commutes (oracles.commutes_initial, whose endpoint check is the one above)
         # Case A: the reflection passes through untouched.  With A empty,
         # v = inside(C) and v * t_ij = u, so a cover marked at l is reused.
         new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(v, i, j, None, l)
@@ -274,7 +256,7 @@ def phi_with_audit(triple: InitialTriple, l: int) -> tuple[FinalPair, tuple[Audi
                 raise InvalidPair("Case C directly after Case B")
             if prev_i != cover.i:
                 raise InvalidPair("Case C without repeated first index")
-        # commutes_final, whose endpoint check is FinalPair's
+        # (W', C') commutes (oracles.commutes_final, whose endpoint check is FinalPair's)
         u, last = pair.weak.inside, pair.strong.last
         if (u(last.i) > u(last.j)) != (tag is not CaseTag.B):
             raise InvalidPair(f"commutation status wrong after Case {tag.value}")
@@ -310,7 +292,7 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     v = cover.inside
     a, b = cover.i, cover.j
 
-    if u(a) > u(b):  # commutes_final, whose endpoint check is the one above
+    if u(a) > u(b):  # (W', C') commutes (oracles.commutes_final, whose endpoint check is the one above)
         # Case RA: with A' empty, u = outside(C) and u * t_ab = v, so a cover
         # marked at l is reused.
         new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(None, a, b, u, l)

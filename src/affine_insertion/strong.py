@@ -14,7 +14,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import attrgetter
 
-from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, canonical_reflection, rotate
+from .affperm import MEMO_SIZE, AffinePermutation, RankMismatch, rotate
 from .affperm import right_mult_transposition
 from .chains import StripChain, walk_chains
 from .record import Record
@@ -23,16 +23,12 @@ __all__ = [
     "NotACover",
     "InvalidStrongStrip",
     "is_cover_pair",
-    "is_strong_cover",
-    "reflection_of_cover",
     "MarkedStrongCover",
     "marked_covers_above",
     "marked_covers_below",
-    "chevalley_multiplicity",
     "StrongStrip",
     "strong_strips_from",
     "strong_strip_outsides",
-    "strong_strips_ending_at",
     "StrongTableau",
     "strong_tableaux",
     "count_strong_tableaux",
@@ -69,34 +65,6 @@ def is_cover_pair(w: AffinePermutation, i: int, j: int) -> bool:
         if wi <= win[r] + q * n <= wj:
             return False
     return True
-
-
-def reflection_of_cover(w: AffinePermutation, u: AffinePermutation) -> tuple[int, int] | None:
-    """Positions (i, j), canonical 1 <= i <= n, with u = w * t_{ij}, if any."""
-    n = w.n
-    diff = [x for x in range(1, n + 1) if w.window[x - 1] != u.window[x - 1]]
-    if len(diff) != 2:
-        return None
-    a, b = diff
-    # u must move a translate of the other class's value into position a
-    j = w.position_of(u(a))
-    if (j - b) % n != 0:
-        return None
-    if right_mult_transposition(w, a, j) != u:
-        return None
-    return canonical_reflection(n, a, j)
-
-
-def is_strong_cover(w: AffinePermutation, u: AffinePermutation) -> bool:
-    """True iff u covers w in strong order (length check deferred to the
-    interval criterion, which is equivalent and cheaper)."""
-    if w.n != u.n:
-        return False
-    refl = reflection_of_cover(w, u)
-    if refl is None:
-        return False
-    i, j = refl
-    return is_cover_pair(w, i, j)
 
 
 class MarkedStrongCover(Record):
@@ -136,7 +104,7 @@ class MarkedStrongCover(Record):
     def spin(self) -> int:
         """c(h - 1) + p: c translates (i + kn, j + kn) straddle l, p of them
         with k < 0, and h - 1 values between w(i) and w(j) sit left of i.  On
-        0-Grassmannian elements at level 0 that is cores.spin_of_marked_cover:
+        0-Grassmannian elements at level 0 that is oracles.spin_of_marked_cover:
         c ribbons of height h, the marked one (p + 1)-th from the top."""
         try:
             return self._spin
@@ -195,14 +163,6 @@ def marked_covers_below(w: AffinePermutation, l: int) -> list[MarkedStrongCover]
                 covers.append(MarkedStrongCover(v, i + k * n, j + k * n, w, l))
     covers.sort(key=lambda c: (c.mark, c.i))
     return covers
-
-
-def chevalley_multiplicity(w: AffinePermutation, u: AffinePermutation, l: int) -> int:
-    """Number of straddling pairs (i, j) realizing the cover w -> u."""
-    hits = sum(1 for c in marked_covers_above(w, l) if c.outside == u)
-    if hits == 0:
-        raise NotACover(f"{u} does not cover {w}")
-    return hits
 
 
 class StrongStrip(Record):
@@ -329,22 +289,6 @@ def strong_strip_outsides(w: AffinePermutation, r: int, l: int, slot: int) -> tu
     for (x, _), m in states.items():
         outs[x] = outs.get(x, 0) + m
     return tuple(outs.items())
-
-
-def strong_strips_ending_at(x: AffinePermutation, r: int, l: int) -> list[StrongStrip]:
-    """All strong strips of size r with the given outside."""
-    if r < 0:
-        return []
-    strips = [StrongStrip(x, ())]
-    for _ in range(r):
-        nxt = []
-        for s in strips:
-            ceil = s.first.mark if s.covers else None
-            for c in marked_covers_below(s.inside, l):
-                if ceil is None or c.mark < ceil:
-                    nxt.append(s.prepended(c))
-        strips = nxt
-    return strips
 
 
 class StrongTableau(StripChain):

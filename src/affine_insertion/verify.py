@@ -26,9 +26,6 @@ from .cores import (
     strong_tableau_filling,
     weak_tableau_filling,
 )
-
-
-
 from .weak import count_standard_weak, weak_strips_from
 from .symfunc import NotSymmetric, _bounded_vectors, cauchy_check, pieri_checks, strong_schur, weak_schur
 

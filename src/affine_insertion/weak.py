@@ -17,7 +17,7 @@ import itertools
 
 from functools import lru_cache
 
-from .affperm import MEMO_SIZE, AffinePermutation, identity, parse_ints, simple_reflection
+from .affperm import MEMO_SIZE, AffinePermutation, identity, simple_reflection
 from .chains import StripChain, walk_chains
 from .record import Record
 
@@ -25,25 +25,19 @@ __all__ = [
     "FullSet",
     "InvalidStrip",
     "normalize_residues",
-    "cyclic_components",
     "cyclically_decreasing",
-    "cyclically_increasing",
     "is_nice",
     "is_bad",
     "step_to",
     "apply_cA",
     "WeakStrip",
-    "weak_strip_between",
     "weak_strip_is_valid",
-    "weak_strip_length_check",
     "weak_strips_from",
     "WeakTableau",
     "weak_tableaux",
     "count_weak_tableaux",
     "weak_weight_table",
     "count_standard_weak",
-    "parse_residue_set",
-    "format_residue_set",
 ]
 
 
@@ -65,26 +59,6 @@ def normalize_residues(n: int, members) -> frozenset[int]:
     if len(out) >= n:
         raise FullSet(f"residue set must be a proper subset of Z/{n}Z")
     return out
-
-
-def cyclic_components(n: int, members) -> list[tuple[int, int]]:
-    """Maximal cyclic intervals [a, b] of A, ordered by smallest member.
-
-    >>> cyclic_components(10, {0, 1, 3, 4, 6, 9})
-    [(9, 1), (3, 4), (6, 6)]
-    """
-    a_set = normalize_residues(n, members)
-    comps = []
-    for start in sorted(a_set):
-        if (start - 1) % n in a_set:
-            continue  # not the low end of its interval
-        end = start
-        while (end + 1) % n in a_set:
-            end = (end + 1) % n
-        comps.append((start, end))
-    # an interval that wraps past n - 1 holds 0, its smallest member
-    comps.sort(key=lambda c: 0 if c[0] > c[1] else c[0])
-    return comps
 
 
 def is_nice(n: int, a_set: frozenset[int], x: int) -> bool:
@@ -149,21 +123,6 @@ def cyclically_decreasing(n: int, members) -> AffinePermutation:
     return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
 
 
-def cyclically_increasing(n: int, members) -> AffinePermutation:
-    """Same product with each interval taken in increasing order.
-
-    Components are separated by a missing residue, so their factors
-    commute and the increasing product is the inverse of c_A.  Its window
-    comes from the runs (s, k) of _cA_runs: c_A^{-1}(i) - i is +1 at
-    s, ..., s + k - 1 (the members of A), -k at s + k and 0 elsewhere.
-    """
-    a_set = normalize_residues(n, members)
-    shifts = [1 if a in a_set else 0 for a in range(n)]
-    for s, k in _cA_runs(n, a_set)[0]:
-        shifts[(s + k) % n] = -k
-    return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
-
-
 class WeakStrip(Record):
     """Interval w -> v = c_A * w in left weak order with ell(v) = ell(w) + |A|."""
 
@@ -212,24 +171,6 @@ def _is_weak_strip(w: AffinePermutation, a_set: frozenset[int], v: AffinePermuta
             if pos(x) <= p:
                 return False
     return True
-
-
-def weak_strip_length_check(w: AffinePermutation, members, v: AffinePermutation) -> bool:
-    """Independent strip test by explicit length additivity."""
-    n = w.n
-    a_set = normalize_residues(n, members)
-    return cyclically_decreasing(n, a_set) * w == v and v.length == w.length + len(a_set)
-
-
-def weak_strip_between(w: AffinePermutation, v: AffinePermutation) -> WeakStrip | None:
-    """The weak strip from w to v if one exists, else None.  A strip has
-    v = c_A * w, and a is in A exactly when c_A(a + 1) = a: so A is read off
-    c = v * w^{-1}, and the strip test decides."""
-    if v.n != w.n:
-        return None
-    c = v * w.inverse()
-    members = frozenset(a for a, x in enumerate(c.window) if x == a)
-    return WeakStrip(w, members, v) if weak_strip_is_valid(w, members, v) else None
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -338,15 +279,3 @@ def weak_order_upper(u: AffinePermutation, max_extra: int) -> set[AffinePermutat
                     seen.add(z)
                     frontier.append((z, d + 1))
     return seen
-
-
-def format_residue_set(n: int, members) -> str:
-    return "{" + ",".join(str(a) for a in sorted(normalize_residues(n, members))) + "}"
-
-
-def parse_residue_set(text: str, n: int) -> frozenset[int]:
-    """Parse '{0,1,3}' (the grammar of parse_ints) with residues in [0, n)."""
-    members = parse_ints(text, "{}")
-    if any(not 0 <= a < n for a in members):
-        raise ValueError(f"residues must lie in [0, {n}): {text!r}")
-    return normalize_residues(n, members)

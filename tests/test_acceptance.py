@@ -31,7 +31,6 @@ from affine_insertion.cores import (
     partitions,
     removable_corners,
     spin_tableau,
-    strong_cover_cores,
     strong_tableau_filling,
     weak_tableau_filling,
     is_core,
@@ -54,6 +53,13 @@ from affine_insertion.localrule import (
     psi_with_audit,
     reverse_insert,
 )
+from affine_insertion.oracles import (
+    cyclic_components,
+    strong_cover_cores,
+    strong_strips_ending_at,
+    weak_strip_between,
+    weak_strip_length_check,
+)
 from affine_insertion.strong import (
     MarkedStrongCover,
     StrongStrip,
@@ -69,12 +75,9 @@ from affine_insertion.verify import (
 )
 from affine_insertion.weak import (
     WeakStrip,
-    cyclic_components,
     count_standard_weak,
-    weak_strip_between,
     weak_strips_from,
     weak_strip_is_valid,
-    weak_strip_length_check,
 )
 
 W = from_window
@@ -232,8 +235,6 @@ def test_ac04_local_roundtrip():
                         assert psi_with_audit(phi_with_audit(triple, l)[0], l)[0] == triple
                         total += 1
     # the reverse composition over independently enumerated final pairs
-    from affine_insertion.strong import strong_strips_ending_at
-
     rev = 0
     for level in elements_by_length(n, 4):
         for u in level:

@@ -9,13 +9,15 @@ from pathlib import Path
 import pytest
 
 from affine_insertion import cli, clear_caches, localrule, symfunc, verify
-from affine_insertion.affperm import parse_window
+from affine_insertion.affperm import from_reduced_word, format_window, identity, parse_window
 from affine_insertion.cli import build_parser, main
-from affine_insertion.cores import parse_partition
+from affine_insertion.cores import core_of, offsets, parse_partition
 from affine_insertion.insertion import BoundedMatrix
 from affine_insertion.localrule import InitialTriple
-from affine_insertion.symfunc import NotSymmetric
-from affine_insertion.weak import parse_residue_set
+from affine_insertion.serialize import strong_strip_from_json, strong_tableau_from_json, weak_strip_from_json
+from affine_insertion.strong import strong_strips_from, strong_tableaux
+from affine_insertion.symfunc import NotSymmetric, WeightPolynomial
+from affine_insertion.weak import weak_strips_from
 
 
 def run(capsys, *argv):
@@ -408,16 +410,20 @@ PLANTED_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("suite", [suite for suite in verify.SUITES if suite != "symmetry"])
-def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite):
-    module, name, plant = PLANTED_FAULTS[suite]
+def _planted_run(capsys, monkeypatch, fault, *argv):
+    """run with the (module, name, replacement) fault planted."""
     clear_caches()  # no memo may answer from before the plant, nor keep its answers after
-    monkeypatch.setattr(module, name, plant)
+    monkeypatch.setattr(*fault)
     try:
-        rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
+        return run(capsys, *argv)
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+@pytest.mark.parametrize("suite", [suite for suite in verify.SUITES if suite != "symmetry"])
+def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite):
+    rc, out = _planted_run(capsys, monkeypatch, PLANTED_FAULTS[suite], "verify", suite, *SUITE_SLICES[suite])
     assert rc == 1
     assert re.search(r"^FAIL \(.+\)$", out, re.MULTILINE)
 
@@ -431,13 +437,8 @@ def _step_to_past_each_forward_nice_step(n, a_set, x, pred, step=1, step_to=loca
 def test_a_raising_plant_fails_its_suite_not_as_bad_input(capsys, monkeypatch, suite):
     # the local rule then builds no strong cover and raises: a broken
     # invariant on valid input is a failed verification (1), not bad input (2)
-    clear_caches()
-    monkeypatch.setattr(localrule, "step_to", _step_to_past_each_forward_nice_step)
-    try:
-        rc, out = run(capsys, "verify", suite, *SUITE_SLICES[suite])
-    finally:
-        monkeypatch.undo()
-        clear_caches()
+    fault = (localrule, "step_to", _step_to_past_each_forward_nice_step)
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", suite, *SUITE_SLICES[suite])
     assert rc == 1
     assert re.search(r"^FAIL \(.+ raised at .+: .+ is not a strong cover\)$", out, re.MULTILINE)
 
@@ -463,7 +464,6 @@ def test_each_suite_takes_exactly_its_signature(capsys):
 LIST_SITES = {
     "window": (lambda text: parse_window(text, 3), "[]", (0, 2, 4)),
     "partition": (parse_partition, "()", (2, 1, 1)),
-    "residue set": (lambda text: parse_residue_set(text, 4), "{}", (0, 1, 3)),
     "offsets": (lambda text: cli._convert_to_window("offsets", text, 3), "()", (1, -1, 0)),
     "code": (lambda text: cli._convert_to_window("code", text, 3), "()", (0, 1, 3)),
 }
@@ -528,3 +528,101 @@ def test_kschur_past_the_recursion_limit_exits_2(capsys, monkeypatch, spin):
     assert main(["kschur", "--n", "3", "--shape", "(2,1,1)"] + ["--spin"] * spin) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: degree 4 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["insert", "--reverse", "--n", "3"], "--reverse needs --pair"),
+    (["convert", "--n", "3", "--from", "offsets", "--to", "window", "(1,-1)"], "offsets need 3 entries"),
+    (["convert", "--n", "3", "--from", "code", "--to", "window", "(0,2,1)"],
+     "code of a Grassmannian element is weakly increasing from 0"),
+    (["enumerate", "strong-tableaux", "--n", "3", "--inside", "[1,2,3]"], "tableaux enumeration needs --outside"),
+])
+def test_missing_or_malformed_input_exits_2_with_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_convert_to_offsets_equals_the_library(capsys):
+    w = from_reduced_word(4, [1, 2, 3, 0])
+    rc, out = run(capsys, "convert", "--n", "4", "--from", "window", "--to", "offsets", format_window(w))
+    assert rc == 0 and out == "(" + ",".join(map(str, offsets(core_of(w), 4))) + ")\n"
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_enumerated_strips_and_tableaux_equal_the_library(capsys, l):
+    w, u = from_reduced_word(3, [2, 0]), from_reduced_word(3, [1, 2, 0])
+    inside = ["--n", "3", "--l", str(l), "--inside", format_window(w)]
+    rc, out = run(capsys, "enumerate", "weak-strips", *inside, "--size", "2")
+    assert rc == 0 and [weak_strip_from_json(d, 3) for d in json.loads(out)] == list(weak_strips_from(w, 2))
+    rc, out = run(capsys, "enumerate", "strong-strips", *inside, "--size", "2")
+    assert rc == 0 and [strong_strip_from_json(d, 3, l) for d in json.loads(out)] == list(strong_strips_from(w, 2, l))
+    rc, out = run(capsys, "enumerate", "strong-tableaux", "--n", "3", "--l", str(l), "--inside", "[1,2,3]",
+                  "--outside", format_window(u))
+    expected = strong_tableaux(identity(3), u, l)
+    assert rc == 0 and [strong_tableau_from_json(d, 3, l) for d in json.loads(out)] == expected
+    assert len(expected) == (5 if l == 0 else 0)
+
+
+def test_verify_roundtrip_with_samples_prints_its_sampled_line(capsys):
+    rc, out = run(capsys, "verify", "roundtrip", "--n", "3", "--max", "2", "--samples", "20", "--seed", "3")
+    assert rc == 0
+    assert out.splitlines()[-2:] == ["sampled roundtrip: 20 triples, seed=3", "PASS"]
+
+
+def test_cauchy_command_prints_its_mismatches(capsys, monkeypatch):
+    argv = ["cauchy", "--n", "2", "--dx", "2", "--vy", "2"]
+    rc, out = _planted_run(capsys, monkeypatch, PLANTED_FAULTS["cauchy"], *argv)
+    assert rc == 1
+    assert out.splitlines() == [
+        "checked 24 coefficients: FAIL",
+        "first mismatches: (((0, 1), (0, 1), 2, 1), ((1, 0), (0, 1), 2, 1), ((0, 2), (1, 1), 2, 1))",
+    ]
+
+
+def test_pieri_command_prints_its_mismatches(capsys, monkeypatch):
+    argv = ["pieri", "--n", "3", "--w", "[-1,3,4]", "--r", "2"]
+    rc, out = _planted_run(capsys, monkeypatch, PLANTED_FAULTS["pieri"], *argv)
+    assert rc == 1
+    assert out.splitlines() == [
+        "strong: PASS",
+        "dual_strong: FAIL",
+        "  mismatches: (((1, 1, 1, 1), 6, 0), ((1, 1, 2), 2, 0), ((1, 2, 1), 2, 0))",
+        "weak: PASS",
+        "dual_weak: PASS",
+    ]
+
+
+def test_verify_counts_prints_its_fail_lines(capsys, monkeypatch):
+    fault = (verify, "count_standard_strong", lambda w, l, count=verify.count_standard_strong: count(w, l) + 1)
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", "counts", "--n", "3", "--max-m", "2")
+    assert rc == 1
+    assert out.splitlines() == [
+        "FAIL sum f_strong*f_weak = 2 != 1! at m=1",
+        "m=1: sum f_strong*f_weak = 2 != 1!",
+        "FAIL sum f_strong*f_weak = 4 != 2! at m=2",
+        "m=2: sum f_strong*f_weak = 4 != 2!",
+        "FAIL n=3 strong closed form broke at m=1, l=0",
+        "FAIL n=3 strong closed form broke at m=2, l=0",
+        "FAIL n=3 strong closed form broke at m=2, l=1",
+        "n=3 closed forms: binom(floor(m/2), l) and m!/2^floor(m/2)",
+        "FAIL (sum f_strong*f_weak = 2 != 1! at m=1)",
+    ]
+
+
+def _strong_weight_function_off_its_partitions(u, v, l, weight_function=symfunc.strong_weight_function):
+    wf = weight_function(u, v, l)
+    return WeightPolynomial(wf.degree, {k: c + (list(k) != sorted(k, reverse=True)) for k, c in wf.coeffs.items()})
+
+
+def test_verify_symmetry_prints_its_strong_fail_lines(capsys, monkeypatch):
+    fault = (symfunc, "strong_weight_function", _strong_weight_function_off_its_partitions)
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", "symmetry", "--n", "3", "--max", "3")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[:3] == [
+        "FAIL Grassmannian strong Schur not symmetric at [-1,1,6]",
+        "FAIL Grassmannian strong Schur not symmetric at [-2,3,5]",
+        "weak + Grassmannian strong symmetry asserted through length 3",
+    ]
+    assert lines[-1] == "FAIL (Grassmannian strong Schur not symmetric at [-1,1,6])"

@@ -10,11 +10,9 @@ from affine_insertion.affperm import (
 )
 from affine_insertion.cores import (
     NotACore,
-    NotACover,
     NotBounded,
     NotGrassmannianChain,
     addable_corners,
-    act_on_partition,
     apply_simple,
     bounded_of,
     cells,
@@ -35,15 +33,14 @@ from affine_insertion.cores import (
     removable_corners,
     render_strong_tableau,
     render_weak_tableau,
-    spin_of_marked_cover,
     spin_tableau,
-    strong_cover_cores,
     strong_tableau_filling,
     weak_tableau_filling,
 )
 from affine_insertion.insertion import BoundedMatrix, grassmannian_rsk
-from affine_insertion.strong import StrongStrip, StrongTableau, marked_covers_above
-from affine_insertion.weak import WeakStrip, WeakTableau, weak_strip_between
+from affine_insertion.oracles import act_on_partition, spin_of_marked_cover, strong_cover_cores, weak_strip_between
+from affine_insertion.strong import NotACover, StrongStrip, StrongTableau, marked_covers_above
+from affine_insertion.weak import WeakStrip, WeakTableau
 
 LAM = (10, 7, 4, 3, 2, 1, 1, 1)
 PAPER_WORD = [1, 2, 3, 0, 3, 2, 1, 0, 3, 2, 0, 3, 1, 0]
@@ -255,6 +252,21 @@ def test_spin_tableau_fixture():
 
     p, _ = grassmannian_rsk(BoundedMatrix.from_rows([[0, 1, 0], [0, 0, 2], [1, 0, 1]]), 3)
     assert spin_tableau(p) == 2
+
+
+@pytest.mark.parametrize("window, ij, l, ribbon_spin", [([0, 1, 5], (0, 4), 1, 1), ([0, 2, 4], (2, 4), 2, None)])
+def test_spin_tableau_off_level_zero_reads_the_window(window, ij, l, ribbon_spin):
+    # the ribbon oracle reads a mark as a level-0 head diagonal: off level 0 it
+    # gives another number, or finds no ribbon head there and raises
+    w = from_window(3, window)
+    (c,) = [c for c in marked_covers_above(w, l) if (c.i, c.j) == ij]
+    assert c.outside.is_grassmannian(0)
+    assert spin_tableau(StrongTableau(w, (StrongStrip(w, (c,)),))) == c.spin == 0
+    if ribbon_spin is None:
+        with pytest.raises(NotACover, match="no ribbon head"):
+            spin_of_marked_cover(core_of(w), core_of(c.outside), 3, c.mark)
+    else:
+        assert spin_of_marked_cover(core_of(w), core_of(c.outside), 3, c.mark) == ribbon_spin
 
 
 def test_chain_leaving_the_grassmannian_rejected():

@@ -19,10 +19,10 @@ from affine_insertion.insertion import (
     affine_insert,
     affine_uninsert,
     classical_rsk,
-    classical_unrsk,
     grassmannian_rsk,
 )
 from affine_insertion.localrule import InitialTriple, phi
+from affine_insertion.oracles import classical_unrsk
 from affine_insertion.serialize import audit_to_json, pair_to_json
 from affine_insertion.strong import MarkedStrongCover, StrongStrip, StrongTableau, strong_strips_from
 from affine_insertion.weak import WeakStrip, WeakTableau, weak_strips_from
@@ -236,7 +236,6 @@ def test_global_roundtrip_shifted_slot():
 
 def test_exception_names_are_one_class_each():
     assert insertion.InvalidPair is localrule.InvalidPair
-    assert cores.NotACover is strong.NotACover
     assert symfunc.NotBounded is cores.NotBounded
 
 

@@ -26,8 +26,6 @@ from affine_insertion.localrule import (
     InitialTriple,
     PreconditionViolation,
     StripFull,
-    commutes_final,
-    commutes_initial,
     external_insert,
     internal_insert,
     phi,
@@ -36,6 +34,7 @@ from affine_insertion.localrule import (
     psi_with_audit,
     reverse_insert,
 )
+from affine_insertion.oracles import commutes_final, commutes_initial
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip, marked_covers_above, strong_strips_from
 from affine_insertion.weak import InvalidStrip, WeakStrip, is_bad, is_nice, weak_strips_from
 

@@ -13,9 +13,9 @@ import pytest
 import affine_insertion
 from affine_insertion.affperm import identity, simple_reflection
 from affine_insertion.chains import StripChain
-from affine_insertion.cores import StrongCoverOnCores
 from affine_insertion.insertion import BoundedMatrix
 from affine_insertion.localrule import AuditStep, CaseTag, FinalPair, InitialPair, InitialTriple
+from affine_insertion.oracles import StrongCoverOnCores
 from affine_insertion.strong import MarkedStrongCover, StrongStrip, StrongTableau
 from affine_insertion.symfunc import (
     CauchyReport,

@@ -13,20 +13,18 @@ from affine_insertion.affperm import (
     right_mult_transposition,
     simple_reflection,
 )
+from affine_insertion.oracles import is_strong_cover, strong_strips_ending_at
 from affine_insertion.strong import (
     InvalidStrongStrip,
     MarkedStrongCover,
     NotACover,
     StrongStrip,
-    chevalley_multiplicity,
     count_standard_strong,
     count_strong_tableaux,
     is_cover_pair,
-    is_strong_cover,
     marked_covers_above,
     marked_covers_below,
     strong_strips_from,
-    strong_strips_ending_at,
     strong_tableaux,
 )
 
@@ -81,13 +79,6 @@ def test_offsetcover_marked_translates():
     u = from_window(4, [-8, -6, 9, 15])
     match = [c for c in marked_covers_above(w, 0) if c.outside == u]
     assert [(c.i, c.j, c.mark) for c in match] == [(-9, 2, -3), (-5, 6, 1), (-1, 10, 5)]
-    assert chevalley_multiplicity(w, u, 0) == 3
-
-
-def test_chevalley_simple():
-    assert chevalley_multiplicity(identity(3), simple_reflection(3, 0), 0) == 1
-    with pytest.raises(NotACover):
-        chevalley_multiplicity(identity(3), from_reduced_word(3, [1, 0]), 0)
 
 
 def test_covers_below_duality():

@@ -55,7 +55,7 @@ from affine_insertion.symfunc import (
     weak_schur,
     weak_weight_function,
 )
-from affine_insertion.weak import cyclically_increasing
+from affine_insertion.oracles import cyclically_increasing
 
 
 def c0m(n, m):

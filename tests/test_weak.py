@@ -12,6 +12,7 @@ from affine_insertion.affperm import (
     reduced_word,
     simple_reflection,
 )
+from affine_insertion.oracles import cyclic_components, cyclically_increasing, weak_strip_between, weak_strip_length_check
 from affine_insertion.weak import (
     FullSet,
     InvalidStrip,
@@ -20,15 +21,9 @@ from affine_insertion.weak import (
     apply_cA,
     count_standard_weak,
     count_weak_tableaux,
-    cyclic_components,
     cyclically_decreasing,
-    cyclically_increasing,
-    format_residue_set,
     normalize_residues,
-    parse_residue_set,
-    weak_strip_between,
     weak_strip_is_valid,
-    weak_strip_length_check,
     weak_strips_from,
     weak_tableaux,
 )
@@ -274,12 +269,3 @@ def test_weak_tableau_chain_validation():
     with pytest.raises(InvalidStrip):
         WeakTableau(simple_reflection(3, 0), (strip,))
 
-
-def test_residue_set_text_form():
-    assert format_residue_set(5, {3, 0, 1}) == "{0,1,3}"
-    assert parse_residue_set("{0,1,3}", 5) == frozenset({0, 1, 3})
-    assert parse_residue_set("{}", 4) == frozenset()
-    with pytest.raises(ValueError):
-        parse_residue_set("0,1", 4)
-    with pytest.raises(ValueError):
-        parse_residue_set("{4}", 4)
