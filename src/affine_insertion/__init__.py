@@ -31,7 +31,6 @@ from .affperm import (
 from .weak import (
     WeakStrip,
     WeakTableau,
-    apply_cA,
     count_standard_weak,
     count_weak_tableaux,
     cyclically_decreasing,
@@ -70,7 +69,6 @@ from .insertion import (
     grassmannian_rsk,
 )
 from .cores import (
-    apply_simple,
     bounded_of,
     core_from_offsets,
     core_of,

@@ -97,14 +97,20 @@ class AffinePermutation:
         q, r = divmod(i - 1, self.n)
         return self.window[r] + q * self.n
 
-    def position_of(self, value: int) -> int:
-        """The position i with w(i) = value, i.e. the inverse applied to value."""
+    def inverse_index(self):
+        """The window slot of each residue, as a sequence idx: value x sits at
+        position idx[x % n] + 1 + (x - window[idx[x % n]]) // n * n.  Built
+        once, or handed on by right_mult_transposition; never edited."""
         if self._inv_idx is None:
             idx = [0] * self.n
             for j, v in enumerate(self.window):
                 idx[v % self.n] = j
             self._inv_idx = tuple(idx)
-        j = self._inv_idx[value % self.n]
+        return self._inv_idx
+
+    def position_of(self, value: int) -> int:
+        """The position i with w(i) = value, i.e. the inverse applied to value."""
+        j = (self._inv_idx or self.inverse_index())[value % self.n]
         return j + 1 + (value - self.window[j]) // self.n * self.n
 
     def inverse(self) -> AffinePermutation:
@@ -206,8 +212,9 @@ def right_mult_transposition(w: AffinePermutation, i: int, j: int) -> AffinePerm
 
     Only the window entries of the residue classes of i and j change; when
     i and j share a class, that entry becomes w(j + x - i) at its position x.
-    An index w.position_of has built is handed on: the two classes swap
-    their window slots, and a shared class keeps its slot.
+    An index w.inverse_index has built is handed on: the two classes swap
+    their window slots, and a shared class keeps its slot.  The new index
+    stays the list it was edited in.
     """
     n, win = w.n, w.window
     qi, ri = divmod(i - 1, n)
@@ -220,7 +227,6 @@ def right_mult_transposition(w: AffinePermutation, i: int, j: int) -> AffinePerm
         if idx is not None:
             idx = list(idx)
             idx[win[ri] % n], idx[win[rj] % n] = rj, ri
-            idx = tuple(idx)
     out = AffinePermutation(n, window)
     out._inv_idx = idx
     return out

@@ -24,14 +24,10 @@ __all__ = [
     "NotGrassmannianChain",
     "check_partition",
     "conjugate",
-    "contains",
     "cells",
     "hook_length",
     "edge_sequence",
     "is_core",
-    "addable_corners",
-    "removable_corners",
-    "apply_simple",
     "offsets",
     "core_from_offsets",
     "core_of",
@@ -77,12 +73,6 @@ def conjugate(lam) -> tuple[int, ...]:
     return tuple(sum(1 for a in lam if a >= j) for j in range(1, lam[0] + 1))
 
 
-def contains(lam, mu) -> bool:
-    mu = tuple(mu)
-    lam = tuple(lam)
-    return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
-
-
 def cells(lam, mu=()) -> list[tuple[int, int]]:
     """Cells (row, col) of lam not in mu, 1-based, row by row: with mu inside
     lam, the skew shape lam/mu.  The diagonal index of (i, j) is j - i."""
@@ -112,42 +102,6 @@ def is_core(lam, n: int) -> bool:
     hi = (lam[0] if lam else 0) + n
     bits = edge_sequence(lam, lo, hi)
     return all(not (bits[k] == 0 and bits[k + n] == 1) for k in range(len(bits) - n))
-
-
-def addable_corners(lam) -> list[tuple[int, int]]:
-    lam = tuple(lam)
-    out = [(1, lam[0] + 1)] if lam else [(1, 1)]
-    for i in range(2, len(lam) + 1):
-        if lam[i - 2] > lam[i - 1]:
-            out.append((i, lam[i - 1] + 1))
-    if lam:
-        out.append((len(lam) + 1, 1))
-    return out
-
-
-def removable_corners(lam) -> list[tuple[int, int]]:
-    lam = tuple(lam)
-    return [
-        (i, lam[i - 1])
-        for i in range(1, len(lam) + 1)
-        if i == len(lam) or lam[i] < lam[i - 1]
-    ]
-
-
-def apply_simple(lam, r: int, n: int) -> tuple[int, ...]:
-    """Simultaneously add all addable and remove all removable corners of
-    residue r; this is the generator action on partitions."""
-    lam = check_partition(lam)
-    rows = list(lam) + [0]
-    for i, j in addable_corners(lam):
-        if (j - i) % n == r % n:
-            while len(rows) < i:
-                rows.append(0)
-            rows[i - 1] += 1
-    for i, j in removable_corners(lam):
-        if (j - i) % n == r % n:
-            rows[i - 1] -= 1
-    return tuple(a for a in rows if a)
 
 
 def _class_maxima(lam, n: int) -> dict[int, int]:

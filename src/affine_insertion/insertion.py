@@ -70,12 +70,18 @@ class BoundedMatrix(Record):
         return max((j for _, j in self.entries), default=0)
 
     def rowsums(self, upto: int | None = None) -> tuple[int, ...]:
-        r = self.nrows if upto is None else upto
-        return tuple(sum(v for (i, _), v in self.entries.items() if i == row) for row in range(1, r + 1))
+        return self._line_sums(0, self.nrows if upto is None else upto)
 
     def colsums(self, upto: int | None = None) -> tuple[int, ...]:
-        c = self.ncols if upto is None else upto
-        return tuple(sum(v for (_, j), v in self.entries.items() if j == col) for col in range(1, c + 1))
+        return self._line_sums(1, self.ncols if upto is None else upto)
+
+    def _line_sums(self, axis: int, count: int) -> tuple[int, ...]:
+        """Sums of rows (axis 0) or columns (axis 1) 1..count, in one pass over the entries."""
+        sums = [0] * count
+        for key, v in self.entries.items():
+            if key[axis] <= count:
+                sums[key[axis] - 1] += v
+        return tuple(sums)
 
 
 class GrowthDiagram:
@@ -137,18 +143,17 @@ def affine_insert(
         raise WeightOverflow(f"wt(U) + rowsums = {tuple(a+b for a,b in zip(wt_u, rowsums))} exceeds n-1")
 
     g = GrowthDiagram(nrows, ncols, t_tab.inside, entries=dict(m.entries))
-    for j, s in enumerate(_padded(t_tab.strips, ncols, StrongStrip(u, ())), 1):
+    row = list(_padded(t_tab.strips, ncols, StrongStrip(u, ())))  # the strips north of the current row
+    for j, s in enumerate(row, 1):
         g.hstrips[(0, j)] = s
     for i, s in enumerate(_padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v)), 1):
         g.vstrips[(i, 0)] = s
     for i in range(1, nrows + 1):
-        for j in range(1, ncols + 1):
-            west = g.vstrips[(i, j - 1)]
-            north = g.hstrips[(i - 1, j)]
-            e = m.entries.get((i, j), 0)
-            out, tags = phi_with_audit(InitialTriple(west, north, e), l)
-            g.vstrips[(i, j)] = out.weak
-            g.hstrips[(i, j)] = out.strong
+        west = g.vstrips[(i, 0)]
+        for j, north in enumerate(row, 1):
+            out, tags = phi_with_audit(InitialTriple(west, north, g.entries.get((i, j), 0)), l)
+            west = g.vstrips[(i, j)] = out.weak
+            row[j - 1] = g.hstrips[(i, j)] = out.strong
             g.audits[(i, j)] = tags
     p_tab = g.row_tableau(nrows)
     q_tab = g.column_tableau(ncols)

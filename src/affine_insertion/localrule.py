@@ -19,6 +19,13 @@ straddle and cover test still run, and (w, A', v) checks c_A' * w = v.
 No product c_A' * u is built.  Case tags are recorded
 in an audit trail for debugging and for the roundtrip tests' factorization
 into irreducible step sequences.
+
+A step reads the values it compares off the stored windows in place,
+w(k) = window[(k - 1) % n] + (k - 1) // n * n, without calling w; the
+low-position scanners walk the stored window the same way.  The records a
+step builds store their fields through their slot setters (record.py).  A
+run starts from an empty strong strip, which has no junction to check, and
+reads a strip's covers once instead of its size, first, last and outside.
 """
 
 from __future__ import annotations
@@ -67,9 +74,9 @@ class AuditStep(Record):
     __slots__ = _fields = ("case", "before", "after")
 
     def __init__(self, case: CaseTag, before: FinalPair | InitialPair, after: FinalPair | InitialPair):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "before", before)
-        object.__setattr__(self, "after", after)
+        self._set_case(self, case)
+        self._set_before(self, before)
+        self._set_after(self, after)
 
 
 class EndpointMismatch(ValueError):
@@ -97,8 +104,8 @@ class InitialPair(Record):
     def __init__(self, weak: WeakStrip, strong: StrongStrip):
         if weak.inside != strong.inside:
             raise EndpointMismatch("initial pair must share its inside element")
-        object.__setattr__(self, "weak", weak)
-        object.__setattr__(self, "strong", strong)
+        self._set_weak(self, weak)
+        self._set_strong(self, strong)
 
 
 class FinalPair(Record):
@@ -109,8 +116,8 @@ class FinalPair(Record):
     def __init__(self, weak: WeakStrip, strong: StrongStrip):
         if weak.outside != strong.outside:
             raise EndpointMismatch("final pair must share its outside element")
-        object.__setattr__(self, "weak", weak)
-        object.__setattr__(self, "strong", strong)
+        self._set_weak(self, weak)
+        self._set_strong(self, strong)
 
 
 class InitialTriple(Record):
@@ -121,19 +128,11 @@ class InitialTriple(Record):
     def __init__(self, weak: WeakStrip, strong: StrongStrip, e: int):
         if weak.inside != strong.inside:
             raise EndpointMismatch("initial triple must share its inside element")
-        if e < 0 or weak.size + e >= weak.inside.n:
+        if e < 0 or len(weak.residues) + e >= weak.inside.n:
             raise PreconditionViolation(f"need size(W) + e < n, got {weak.size} + {e} vs n={weak.inside.n}")
-        object.__setattr__(self, "weak", weak)
-        object.__setattr__(self, "strong", strong)
-        object.__setattr__(self, "e", e)
-
-
-def _low_window(perm: AffinePermutation, l: int) -> list[int]:
-    """The values perm(m) at the n positions m in (l - n, l], read off the
-    stored window shifted by multiples of n."""
-    n, win = perm.n, perm.window
-    q, r = divmod(l, n)
-    return [x + (q - 1) * n for x in win[r:]] + [x + q * n for x in win[:r]]
+        self._set_weak(self, weak)
+        self._set_strong(self, strong)
+        self._set_e(self, e)
 
 
 def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: int | None) -> int:
@@ -142,18 +141,23 @@ def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: in
     Candidates per residue class are the window values perm(m), m in
     (l-n, l], shifted down by multiples of n to the largest below the bound;
     the shift keeps the position <= l and the residue, so pred (is_nice
-    tests the residue of q - 1, is_bad that of q) is read before it.
+    tests the residue of q - 1, is_bad that of q) is read before it.  With
+    l = qn + r, perm(m) for m in (l-n, l] is the stored window from slot r
+    on, shifted by (q-1)n, then the slots before r, shifted by qn.
     """
-    n = perm.n
+    n, win = perm.n, perm.window
     off = 1 if pred is is_nice else 0
+    lq, r = divmod(l, n)
     best = None
-    for q in _low_window(perm, l):
-        if (q - off) % n in a_set:
-            continue
-        if bound is not None and q >= bound:
-            q -= ((q - bound) // n + 1) * n
-        if best is None or q > best:
-            best = q
+    for part, shift in ((win[r:], (lq - 1) * n), (win[:r], lq * n)):
+        for q in part:
+            if (q - off) % n in a_set:
+                continue
+            q += shift
+            if bound is not None and q >= bound:
+                q -= ((q - bound) // n + 1) * n
+            if best is None or q > best:
+                best = q
     if best is None:
         raise PreconditionViolation(
             f"no admissible integer passing {pred.__name__}; input outside the rule's domain"
@@ -163,15 +167,19 @@ def _max_at_low_position(perm: AffinePermutation, pred, a_set, l: int, bound: in
 
 def _min_nice_above_at_low_position(perm: AffinePermutation, a_set, l: int, bound: int) -> int | None:
     """Smallest A-nice q > bound with perm^{-1}(q) <= l, or None (condition B):
-    each window value above the bound, shifted down to the smallest above it."""
-    n = perm.n
+    each window value above the bound, shifted down to the smallest above it.
+    The window is read as in _max_at_low_position."""
+    n, win = perm.n, perm.window
+    lq, r = divmod(l, n)
     best = None
-    for q in _low_window(perm, l):
-        if q <= bound or (q - 1) % n in a_set:
-            continue
-        q -= (q - bound - 1) // n * n
-        if best is None or q < best:
-            best = q
+    for part, shift in ((win[r:], (lq - 1) * n), (win[:r], lq * n)):
+        for q in part:
+            q += shift
+            if q <= bound or (q - 1) % n in a_set:
+                continue
+            q -= (q - bound - 1) // n * n
+            if best is None or q < best:
+                best = q
     return best
 
 
@@ -190,22 +198,25 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
     u = cover.outside
     v = weak.outside
     i, j = cover.i, cover.j
+    vwin, uwin = v.window, u.window
 
-    if v(i) < v(j):  # (W, C) commutes (oracles.commutes_initial, whose endpoint check is the one above)
+    # (W, C) commutes iff v(i) < v(j) (oracles.commutes_initial, whose endpoint check is the one above)
+    if vwin[(i - 1) % n] + (i - 1) // n * n < vwin[(j - 1) % n] + (j - 1) // n * n:
         # Case A: the reflection passes through untouched.  With A empty,
         # v = inside(C) and v * t_ij = u, so a cover marked at l is reused.
         new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(v, i, j, None, l)
         out = FinalPair(WeakStrip(u, a_set, new_cover.outside), s1.appended(new_cover))
         return out, CaseTag.A
 
-    p0 = u(i) - 1
+    p0 = uwin[(i - 1) % n] + (i - 1) // n * n - 1  # u(i) - 1
     if is_bad(n, a_set, p0):
         raise PreconditionViolation("noncommuting step requires the mark's residue in A")
     a_vee = a_set - {p0 % n}
+    covers = s1.covers
 
-    if s1.size == 0 or s1.last.i != i:
+    if not covers or covers[-1].i != i:
         # Case B: bump to the largest admissible nice integer below u(j).
-        q = _max_at_low_position(u, is_nice, a_vee, l, bound=u(j))
+        q = _max_at_low_position(u, is_nice, a_vee, l, uwin[(j - 1) % n] + (j - 1) // n * n)
         p = step_to(n, a_vee, q, is_nice)
         a_new = a_vee | {(p - 1) % n}
         new_cover = MarkedStrongCover(v, u.position_of(q), u.position_of(p), None, l)
@@ -213,14 +224,14 @@ def internal_insert(pair: FinalPair, cover: MarkedStrongCover, l: int) -> tuple[
         return out, CaseTag.B
 
     # Case C: replacement bump just before the last produced cover.
-    y = s1.last.inside
-    b1 = s1.last.j
-    q = _max_at_low_position(y, is_bad, a_vee, l, bound=p0)
+    y = covers[-1].inside
+    b1 = covers[-1].j
+    q = _max_at_low_position(y, is_bad, a_vee, l, p0)
     p = step_to(n, a_vee, q, is_bad)
     a_new = a_vee | {q % n}
     bumped = MarkedStrongCover(y, y.position_of(q), y.position_of(p), None, l)
     new_last = MarkedStrongCover(bumped.outside, i, b1, None, l)
-    spliced = StrongStrip(s1.inside, s1.covers[:-1] + (bumped, new_last))
+    spliced = StrongStrip(s1.inside, covers[:-1] + (bumped, new_last))
     out = FinalPair(WeakStrip(u, a_new, new_last.outside), spliced)
     return out, CaseTag.C
 
@@ -242,31 +253,32 @@ def external_insert(pair: FinalPair, l: int) -> FinalPair:
 def phi_with_audit(triple: InitialTriple, l: int) -> tuple[FinalPair, tuple[AuditStep, ...]]:
     """Forward local rule: all internal insertions, then e external ones."""
     weak, strong, e = triple.weak, triple.strong, triple.e
-    v = weak.outside
-    pair = FinalPair(weak, StrongStrip(v, ()))
+    n = weak.inside.n
+    pair = FinalPair(weak, StrongStrip._checked(weak.outside, ()))
     steps: list[AuditStep] = []
-    prev_i = None
+    prev_tag = prev_i = None
     for cover in strong.covers:
         before = pair
         pair, tag = internal_insert(pair, cover, l)
         # Property (markmove): C never directly follows B, and a Case C
         # cover repeats the first index of its predecessor in the strip.
         if tag is CaseTag.C:
-            if steps and steps[-1].case is CaseTag.B:
+            if prev_tag is CaseTag.B:
                 raise InvalidPair("Case C directly after Case B")
             if prev_i != cover.i:
                 raise InvalidPair("Case C without repeated first index")
-        # (W', C') commutes (oracles.commutes_final, whose endpoint check is FinalPair's)
-        u, last = pair.weak.inside, pair.strong.last
-        if (u(last.i) > u(last.j)) != (tag is not CaseTag.B):
+        # (W', C') commutes iff u(a) > u(b) (oracles.commutes_final, whose endpoint check is FinalPair's)
+        uwin, last = pair.weak.inside.window, pair.strong.covers[-1]
+        a, b = last.i, last.j
+        if (uwin[(a - 1) % n] + (a - 1) // n * n > uwin[(b - 1) % n] + (b - 1) // n * n) != (tag is not CaseTag.B):
             raise InvalidPair(f"commutation status wrong after Case {tag.value}")
         steps.append(AuditStep(tag, before, pair))
-        prev_i = cover.i
+        prev_tag, prev_i = tag, cover.i
     for _ in range(e):
         before = pair
         pair = external_insert(pair, l)
         steps.append(AuditStep(CaseTag.X, before, pair))
-    if pair.strong.size != strong.size + e:
+    if len(pair.strong.covers) != len(strong.covers) + e:
         raise InvalidPair("output strong strip has the wrong size")
     return pair, tuple(steps)
 
@@ -286,32 +298,36 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
     weak, s1 = pair.weak, pair.strong
     if weak.outside != cover.outside:
         raise PreconditionViolation("reverse insertion needs outside(W') = outside(C')")
-    n = weak.inside.n
     u = weak.inside
+    n, uwin = u.n, u.window
     a_set = weak.residues
     v = cover.inside
     a, b = cover.i, cover.j
+    ub = uwin[(b - 1) % n] + (b - 1) // n * n  # u(b)
 
-    if u(a) > u(b):  # (W', C') commutes (oracles.commutes_final, whose endpoint check is the one above)
+    # (W', C') commutes iff u(a) > u(b) (oracles.commutes_final, whose endpoint check is the one above)
+    if uwin[(a - 1) % n] + (a - 1) // n * n > ub:
         # Case RA: with A' empty, u = outside(C) and u * t_ab = v, so a cover
         # marked at l is reused.
         new_cover = cover if not a_set and cover.l == l else MarkedStrongCover(None, a, b, u, l)
         return InitialPair(WeakStrip(new_cover.inside, a_set, v), s1.prepended(new_cover)), CaseTag.RA
 
-    if is_nice(n, a_set, u(b)):
+    if is_nice(n, a_set, ub):
         raise InvalidPair("noncommuting reverse step requires the bumped residue in A'")
-    a_vee = a_set - {(u(b) - 1) % n}
+    a_vee = a_set - {(ub - 1) % n}
+    covers = s1.covers
 
-    q_b = _min_nice_above_at_low_position(u, a_vee, l, bound=u(b))
+    q_b = _min_nice_above_at_low_position(u, a_vee, l, ub)
     q_c = None
-    if s1.size > 0:
-        j1 = s1.first.j
-        if is_nice(n, a_vee, u(j1)):
-            q_c = u(j1)
+    if covers:
+        j1 = covers[0].j
+        uj1 = uwin[(j1 - 1) % n] + (j1 - 1) // n * n  # u(j1)
+        if is_nice(n, a_vee, uj1):
+            q_c = uj1
     if q_b is not None and q_c is not None and q_b == q_c:
         raise InvalidPair("conditions B and C cannot select the same integer")
 
-    if q_b is None and s1.size == 0:
+    if q_b is None and not covers:
         # Case RX: strike the grown residue, leave the strong side alone.
         return InitialPair(WeakStrip(u, a_vee, v), s1), CaseTag.RX
 
@@ -328,11 +344,11 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
         q = q_c
         p = step_to(n, a_vee, q, is_nice, -1)
         a_new = a_vee | {(q - 1) % n}
-        i1, j1, z = s1.first.i, s1.first.j, s1.first.outside
+        i1, z = covers[0].i, covers[0].outside
         second = MarkedStrongCover(None, i1, z.position_of(p), z, l)  # u' -> z
         first = MarkedStrongCover(None, i1, j1, second.inside, l)  # w -> u'
         w = first.inside
-        spliced = StrongStrip(w, (first, second) + s1.covers[1:])
+        spliced = StrongStrip(w, (first, second) + covers[1:])
         return InitialPair(WeakStrip(w, a_new, v), spliced), CaseTag.RC
 
     raise InvalidPair("neither condition B nor condition C holds with a nonempty strip")
@@ -341,18 +357,19 @@ def reverse_insert(pair: InitialPair, cover: MarkedStrongCover, l: int) -> tuple
 def psi_with_audit(final: FinalPair, l: int) -> tuple[InitialTriple, tuple[AuditStep, ...]]:
     """Reverse local rule: process the covers of S' from last to first."""
     weak, strong = final.weak, final.strong
-    u = weak.inside
-    pair = InitialPair(weak, StrongStrip(u, ()))
+    pair = InitialPair(weak, StrongStrip._checked(weak.inside, ()))
     steps: list[AuditStep] = []
+    prev_tag = None
     for cover in reversed(strong.covers):
         before = pair
         pair, tag = reverse_insert(pair, cover, l)
-        if tag is CaseTag.RC and steps and steps[-1].case is CaseTag.RB:
+        if tag is CaseTag.RC and prev_tag is CaseTag.RB:
             raise InvalidPair("Case RC directly after Case RB")
         steps.append(AuditStep(tag, before, pair))
+        prev_tag = tag
     if pair.weak.outside != strong.inside:
         raise InvalidPair("reverse run did not land on inside(S')")
-    e = strong.size - pair.strong.size
+    e = len(strong.covers) - len(pair.strong.covers)
     if e != sum(1 for s in steps if s.case is CaseTag.RX):
         raise InvalidPair("external count disagrees with the RX tally")
     triple = InitialTriple(pair.weak, pair.strong, e)

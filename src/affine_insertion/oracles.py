@@ -6,21 +6,23 @@ another way: a cover found from its two ends instead of from its
 reflection, a weak strip read off a quotient or checked by length
 additivity instead of by the nice/bad calculus, strips enumerated from
 their outside, the commutation tests of the local rule as functions, the
-inverse of classical RSK, the group action on partitions through a
-reduced word, and strong covers on cores described by their ribbons, with
-the spin read off those ribbons.  No module of the package imports this
-one, so `import affine_insertion` does not load it.
+inverse of classical RSK, the group action on partitions corner by corner
+through a reduced word, and strong covers on cores described by their
+ribbons, with the spin read off those ribbons.  The closed form of c_A at
+one integer and the weak strip test on an unnormalized residue set are
+here too: the package runs both inline.  No module of the package imports
+this one, so `import affine_insertion` does not load it.
 """
 
 from __future__ import annotations
 
 from .affperm import AffinePermutation, canonical_reflection, reduced_word, right_mult_transposition
-from .cores import apply_simple, cells, check_partition, contains, offsets
+from .cores import cells, check_partition, offsets
 from .insertion import BoundedMatrix
 from .localrule import EndpointMismatch
 from .record import Record
 from .strong import MarkedStrongCover, NotACover, StrongStrip, is_cover_pair, marked_covers_below
-from .weak import WeakStrip, _cA_runs, cyclically_decreasing, normalize_residues, weak_strip_is_valid
+from .weak import WeakStrip, _cA_runs, _is_weak_strip, cyclically_decreasing, normalize_residues
 
 __all__ = [
     "reflection_of_cover",
@@ -30,9 +32,15 @@ __all__ = [
     "commutes_final",
     "cyclic_components",
     "cyclically_increasing",
+    "apply_cA",
+    "weak_strip_is_valid",
     "weak_strip_length_check",
     "weak_strip_between",
     "classical_unrsk",
+    "contains",
+    "addable_corners",
+    "removable_corners",
+    "apply_simple",
     "act_on_partition",
     "StrongCoverOnCores",
     "strong_cover_cores",
@@ -136,6 +144,28 @@ def cyclically_increasing(n: int, members) -> AffinePermutation:
     return AffinePermutation(n, [i + shifts[i % n] for i in range(1, n + 1)])
 
 
+def apply_cA(n: int, members, i: int) -> int:
+    """Evaluate c_A at i by the closed form, without building the product.
+
+    If i is A-nice the value is j - 1 for the next A-nice j > i;
+    otherwise it is i - 1.
+    """
+    a_set = normalize_residues(n, members)
+    return i + _cA_runs(n, a_set)[1][i % n]
+
+
+def weak_strip_is_valid(w: AffinePermutation, members, v: AffinePermutation) -> bool:
+    """O(n) strip test: v = c_A w and, for every pair of consecutive A-nice
+    integers a < b, the position of a under w precedes those of a+1..b-1.
+
+    The first test compares v's window with the closed form of c_A applied
+    to w's window, so no product is built.  Consecutive nice integers
+    a < b with b > a + 1 are a run (s, k) of A: a = s and b = s + k + 1.
+    WeakStrip's constructor runs the same test, weak._is_weak_strip.
+    """
+    return _is_weak_strip(w, normalize_residues(w.n, members), v)
+
+
 def weak_strip_length_check(w: AffinePermutation, members, v: AffinePermutation) -> bool:
     """Independent strip test by explicit length additivity."""
     n = w.n
@@ -176,6 +206,48 @@ def classical_unrsk(p_rows, q_rows) -> BoundedMatrix:
             row[k], val = val, row[k]
         entries[(rec, val)] = entries.get((rec, val), 0) + 1
     return BoundedMatrix(entries)
+
+
+def contains(lam, mu) -> bool:
+    mu = tuple(mu)
+    lam = tuple(lam)
+    return len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+
+
+def addable_corners(lam) -> list[tuple[int, int]]:
+    lam = tuple(lam)
+    out = [(1, lam[0] + 1)] if lam else [(1, 1)]
+    for i in range(2, len(lam) + 1):
+        if lam[i - 2] > lam[i - 1]:
+            out.append((i, lam[i - 1] + 1))
+    if lam:
+        out.append((len(lam) + 1, 1))
+    return out
+
+
+def removable_corners(lam) -> list[tuple[int, int]]:
+    lam = tuple(lam)
+    return [
+        (i, lam[i - 1])
+        for i in range(1, len(lam) + 1)
+        if i == len(lam) or lam[i] < lam[i - 1]
+    ]
+
+
+def apply_simple(lam, r: int, n: int) -> tuple[int, ...]:
+    """Simultaneously add all addable and remove all removable corners of
+    residue r; this is the generator action on partitions."""
+    lam = check_partition(lam)
+    rows = list(lam) + [0]
+    for i, j in addable_corners(lam):
+        if (j - i) % n == r % n:
+            while len(rows) < i:
+                rows.append(0)
+            rows[i - 1] += 1
+    for i, j in removable_corners(lam):
+        if (j - i) % n == r % n:
+            rows[i - 1] -= 1
+    return tuple(a for a in rows if a)
 
 
 def act_on_partition(w: AffinePermutation, lam) -> tuple[int, ...]:

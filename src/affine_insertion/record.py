@@ -3,11 +3,14 @@ Slotted immutable value records, with no generated code.
 
 A subclass lists its fields in `_fields`, declares them in `__slots__`, and
 writes an `__init__` that checks its arguments and stores them: through
-Record.__init__, in field order, or, on hot paths, with one
-object.__setattr__ per field.  Records of one class are equal when their
-field tuples are, hash as that tuple, print as a dataclass does, and
-refuse assignment and deletion.  Copying and pickling rebuild through the
-constructor, so they repeat its checks.
+Record.__init__, in field order, or, on hot paths, through the class's slot
+setters.  For every slot a class declares, Record gives it `_set_<slot>`,
+the slot descriptor's own `__set__`, so `self._set_inside(self, w)` stores
+the slot at C level, without the name lookup of object.__setattr__.
+Records of one class are equal when their field tuples are, hash as that
+tuple, print as a dataclass does, and refuse assignment and deletion.
+Copying and pickling rebuild through the constructor, so they repeat its
+checks.
 """
 
 from operator import attrgetter
@@ -21,6 +24,8 @@ class Record:
         # _values(record) is the field tuple; attrgetter of one name returns the bare value
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+        for name in cls.__dict__.get("__slots__", ()):
+            setattr(cls, f"_set_{name}", cls.__dict__[name].__set__)
 
     def __init__(self, *values):
         """Store the values in field order."""

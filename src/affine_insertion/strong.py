@@ -51,13 +51,15 @@ def is_cover_pair(w: AffinePermutation, i: int, j: int) -> bool:
     n, win = w.n, w.window
     if i >= j or (i - j) % n == 0:
         return False
-    wi, wj = w(i), w(j)
+    wi = win[(i - 1) % n] + (i - 1) // n * n
+    wj = win[(j - 1) % n] + (j - 1) // n * n
     if wi >= wj:
         return False
     if wj - wi < j - i:  # the shorter side: the values in (wi, wj), not the positions
-        pos = w.position_of
+        idx = w.inverse_index()
         for v in range(wi + 1, wj):
-            if i < pos(v) < j:
+            k = idx[v % n]
+            if i < k + 1 + (v - win[k]) // n * n < j:  # position_of(v)
                 return False
         return True
     for k in range(i, j - 1):  # w(k + 1) for k + 1 in (i, j), off the stored window
@@ -93,12 +95,12 @@ class MarkedStrongCover(Record):
                 outside = u
             elif u != outside:
                 raise NotACover("outside element does not match w * t_ij")
-        object.__setattr__(self, "inside", w)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "outside", outside)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "mark", w(j))
+        self._set_inside(self, w)
+        self._set_i(self, i)
+        self._set_j(self, j)
+        self._set_outside(self, outside)
+        self._set_l(self, l)
+        self._set_mark(self, w.window[(j - 1) % w.n] + (j - 1) // w.n * w.n)  # w(j)
 
     @property
     def spin(self) -> int:
@@ -112,7 +114,7 @@ class MarkedStrongCover(Record):
             w, i, n = self.inside, self.i, self.inside.n
             p = (self.j - self.l - 1) // n
             h_1 = sum(1 for v in range(w(i) + 1, self.mark) if w.position_of(v) < i)
-            object.__setattr__(self, "_spin", ((self.l - i) // n + p + 1) * h_1 + p)
+            self._set__spin(self, ((self.l - i) // n + p + 1) * h_1 + p)
             return self._spin
 
     def __repr__(self):
@@ -176,9 +178,9 @@ class StrongStrip(Record):
 
     def __init__(self, inside: AffinePermutation, covers: tuple[MarkedStrongCover, ...]):
         covers = tuple(covers)
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "covers", covers)
-        cur, floor = self.inside, None
+        self._set_inside(self, inside)
+        self._set_covers(self, covers)
+        cur, floor = inside, None
         for c in covers:
             _check_junction(cur, floor, c)
             cur, floor = c.outside, c.mark
@@ -187,8 +189,8 @@ class StrongStrip(Record):
     def _checked(cls, inside: AffinePermutation, covers: tuple) -> StrongStrip:
         """A strip whose every junction the caller has already checked."""
         strip = object.__new__(cls)
-        object.__setattr__(strip, "inside", inside)
-        object.__setattr__(strip, "covers", covers)
+        strip._set_inside(strip, inside)
+        strip._set_covers(strip, covers)
         return strip
 
     @property
@@ -208,15 +210,21 @@ class StrongStrip(Record):
         return self.covers[-1]
 
     def appended(self, cover: MarkedStrongCover) -> StrongStrip:
-        _check_junction(self.outside, self.last.mark if self.covers else None, cover)
-        return self._checked(self.inside, self.covers + (cover,))
+        covers = self.covers
+        if covers:
+            last = covers[-1]
+            _check_junction(last.outside, last.mark, cover)
+        else:
+            _check_junction(self.inside, None, cover)
+        return self._checked(self.inside, covers + (cover,))
 
     def prepended(self, cover: MarkedStrongCover) -> StrongStrip:
-        if self.covers:
-            _check_junction(cover.outside, cover.mark, self.first)
+        covers = self.covers
+        if covers:
+            _check_junction(cover.outside, cover.mark, covers[0])
         elif cover.outside != self.inside:
             raise InvalidStrongStrip("covers do not chain")
-        return self._checked(cover.inside, (cover,) + self.covers)
+        return self._checked(cover.inside, (cover,) + covers)
 
     def render(self) -> str:
         """Text form 'w --(i,j)@m--> u --(i',j')@m'--> x'."""

@@ -29,9 +29,7 @@ __all__ = [
     "is_nice",
     "is_bad",
     "step_to",
-    "apply_cA",
     "WeakStrip",
-    "weak_strip_is_valid",
     "weak_strips_from",
     "WeakTableau",
     "weak_tableaux",
@@ -49,13 +47,25 @@ class InvalidStrip(ValueError):
     """Claimed strip fails the weak-order length condition."""
 
 
+class _AllResidues(dict):
+    """_ALL_RESIDUES[n] is Z/nZ as the frozenset {0, ..., n - 1}, made at the
+    first use of rank n: one constant per rank, not a memo of results."""
+
+    def __missing__(self, n: int) -> frozenset[int]:
+        self[n] = out = frozenset(range(n))
+        return out
+
+
+_ALL_RESIDUES = _AllResidues()
+
+
 def normalize_residues(n: int, members) -> frozenset[int]:
     """The residues of members mod n, a proper subset of Z/nZ (else FullSet); a
-    frozenset already inside [0, n) is returned as it is, after a min/max check."""
-    if isinstance(members, frozenset) and (not members or (0 <= min(members) and max(members) < n)):
-        out = members
-    else:
-        out = frozenset(a % n for a in members)
+    frozenset that is already a proper subset of {0, ..., n - 1} is returned
+    as it is, after one subset test."""
+    if members.__class__ is frozenset and members < _ALL_RESIDUES[n]:
+        return members
+    out = frozenset(a % n for a in members)
     if len(out) >= n:
         raise FullSet(f"residue set must be a proper subset of Z/{n}Z")
     return out
@@ -103,20 +113,10 @@ def _cA_runs(n: int, a_set: frozenset[int]) -> tuple[tuple[tuple[int, int], ...]
     return tuple(runs), tuple(shifts)
 
 
-def apply_cA(n: int, members, i: int) -> int:
-    """Evaluate c_A at i by the closed form, without building the product.
-
-    If i is A-nice the value is j - 1 for the next A-nice j > i;
-    otherwise it is i - 1.
-    """
-    a_set = normalize_residues(n, members)
-    return i + _cA_runs(n, a_set)[1][i % n]
-
-
 def cyclically_decreasing(n: int, members) -> AffinePermutation:
     """c_A = product over cyclic components [a,b] of s_b s_{b-1} ... s_a.
 
-    The window comes from the closed form of apply_cA, one shift per residue.
+    The window comes from the closed form of _cA_runs, one shift per residue.
     """
     a_set = normalize_residues(n, members)
     shifts = _cA_runs(n, a_set)[1]
@@ -135,9 +135,9 @@ class WeakStrip(Record):
             raise InvalidStrip("inside and outside rank differ")
         if not _is_weak_strip(inside, a_set, outside):
             raise InvalidStrip(f"{inside} -> {outside} is not a weak strip for A={sorted(a_set)}")
-        object.__setattr__(self, "inside", inside)
-        object.__setattr__(self, "residues", a_set)
-        object.__setattr__(self, "outside", outside)
+        self._set_inside(self, inside)
+        self._set_residues(self, a_set)
+        self._set_outside(self, outside)
 
     @property
     def size(self) -> int:
@@ -147,28 +147,23 @@ class WeakStrip(Record):
         return f"WeakStrip({self.inside} --{sorted(self.residues)}--> {self.outside})"
 
 
-def weak_strip_is_valid(w: AffinePermutation, members, v: AffinePermutation) -> bool:
-    """O(n) strip test: v = c_A w and, for every pair of consecutive A-nice
-    integers a < b, the position of a under w precedes those of a+1..b-1.
-
-    The first test compares v's window with the closed form of c_A applied
-    to w's window, so no product is built.  Consecutive nice integers
-    a < b with b > a + 1 are a run (s, k) of A: a = s and b = s + k + 1.
-    """
-    return _is_weak_strip(w, normalize_residues(w.n, members), v)
-
-
 def _is_weak_strip(w: AffinePermutation, a_set: frozenset[int], v: AffinePermutation) -> bool:
-    """weak_strip_is_valid on a residue set already normalized."""
-    n = w.n
+    """oracles.weak_strip_is_valid on a residue set already normalized.  The
+    positions of a run's members come off w's inverse index, fetched once."""
+    n, win = w.n, w.window
+    if not a_set:  # c_A = e
+        return v.window == win
     runs, shifts = _cA_runs(n, a_set)
-    if v.window != tuple([x + shifts[x % n] for x in w.window]):
+    if v.window != tuple([x + shifts[x % n] for x in win]):
         return False
-    pos = w.position_of
+    idx = w.inverse_index()
     for s, k in runs:
-        p = pos(s)
+        # position_of(x) - 1, read off the index
+        j = idx[s]
+        p = j + (s - win[j]) // n * n
         for x in range(s + 1, s + k + 1):
-            if pos(x) <= p:
+            j = idx[x % n]
+            if j + (x - win[j]) // n * n <= p:
                 return False
     return True
 

@@ -20,7 +20,6 @@ from affine_insertion.affperm import (
     simple_reflection,
 )
 from affine_insertion.cores import (
-    addable_corners,
     bounded_of,
     core_of,
     core_of_bounded,
@@ -29,13 +28,11 @@ from affine_insertion.cores import (
     k_conjugate,
     offsets,
     partitions,
-    removable_corners,
     spin_tableau,
     strong_tableau_filling,
     weak_tableau_filling,
     is_core,
     conjugate,
-    contains,
 )
 from affine_insertion.insertion import (
     BoundedMatrix,
@@ -54,10 +51,14 @@ from affine_insertion.localrule import (
     reverse_insert,
 )
 from affine_insertion.oracles import (
+    addable_corners,
+    contains,
     cyclic_components,
+    removable_corners,
     strong_cover_cores,
     strong_strips_ending_at,
     weak_strip_between,
+    weak_strip_is_valid,
     weak_strip_length_check,
 )
 from affine_insertion.strong import (
@@ -77,7 +78,6 @@ from affine_insertion.weak import (
     WeakStrip,
     count_standard_weak,
     weak_strips_from,
-    weak_strip_is_valid,
 )
 
 W = from_window

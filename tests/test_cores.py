@@ -12,12 +12,9 @@ from affine_insertion.cores import (
     NotACore,
     NotBounded,
     NotGrassmannianChain,
-    addable_corners,
-    apply_simple,
     bounded_of,
     cells,
     conjugate,
-    contains,
     core_from_offsets,
     core_of,
     core_of_bounded,
@@ -30,7 +27,6 @@ from affine_insertion.cores import (
     offsets,
     parse_partition,
     partitions,
-    removable_corners,
     render_strong_tableau,
     render_weak_tableau,
     spin_tableau,
@@ -38,7 +34,16 @@ from affine_insertion.cores import (
     weak_tableau_filling,
 )
 from affine_insertion.insertion import BoundedMatrix, grassmannian_rsk
-from affine_insertion.oracles import act_on_partition, spin_of_marked_cover, strong_cover_cores, weak_strip_between
+from affine_insertion.oracles import (
+    act_on_partition,
+    addable_corners,
+    apply_simple,
+    contains,
+    removable_corners,
+    spin_of_marked_cover,
+    strong_cover_cores,
+    weak_strip_between,
+)
 from affine_insertion.strong import NotACover, StrongStrip, StrongTableau, marked_covers_above
 from affine_insertion.weak import WeakStrip, WeakTableau
 

@@ -40,6 +40,21 @@ def test_bounded_matrix_basics():
         BoundedMatrix({(0, 1): 1})
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(1, 7), st.integers(1, 7)), st.integers(0, 4), max_size=20),
+       st.integers(0, 9))
+def test_line_sums_match_the_per_line_formula(entries, upto):
+    # one pass over the entries equals summing every entry once per line,
+    # with upto below, at and above the matrix size
+    m = BoundedMatrix(entries)
+    for sums, count, axis in ((m.rowsums, m.nrows, 0), (m.colsums, m.ncols, 1)):
+        for limit in (None, upto):
+            k = count if limit is None else limit
+            expected = tuple(sum(v for key, v in m.entries.items() if key[axis] == line) for line in range(1, k + 1))
+            assert sums(limit) == expected
+    assert m.rowsums(m.nrows + 2)[m.nrows:] == (0, 0) and m.colsums(0) == ()
+
+
 def test_growth_diagram_fixture():
     p, q = grassmannian_rsk(GROWTH_MATRIX, 3)
     assert core_of(p.outside) == (5, 3, 1) == core_of(q.outside)

@@ -24,6 +24,7 @@ from affine_insertion.localrule import (
     FinalPair,
     InitialPair,
     InitialTriple,
+    InvalidPair,
     PreconditionViolation,
     StripFull,
     external_insert,
@@ -157,7 +158,8 @@ def test_initfincommute_equivalence():
     # closes up into a genuine weak strip and strong cover (and then the
     # final pair commutes as well)
     from affine_insertion.strong import is_cover_pair, marked_covers_above
-    from affine_insertion.weak import cyclically_decreasing, weak_strip_is_valid
+    from affine_insertion.oracles import weak_strip_is_valid
+    from affine_insertion.weak import cyclically_decreasing
 
     for level in elements_by_length(3, 4):
         for w in level:
@@ -562,12 +564,78 @@ def test_pass_through_rebuilds_covers_marked_at_another_level():
     assert rebuilt and refused
 
 
+# Three n = 3 triples: one cover that passes through (forward A, reverse RA);
+# two covers, bumped then passed through (forward B, A; reverse RA, RB); and
+# one external step on empty strips (forward X, reverse RX).
+E3 = identity(3)
+A_ONE = InitialTriple(WeakStrip(E3, frozenset(), E3), StrongStrip(E3, (cover(3, [1, 2, 3], 0, 1, [0, 2, 4]),)), 0)
+B_THEN_A = InitialTriple(
+    wstrip(3, [1, 2, 3], {0}, [0, 2, 4]),
+    StrongStrip(E3, (cover(3, [1, 2, 3], 0, 1, [0, 2, 4]), cover(3, [0, 2, 4], 0, 2, [0, 1, 5]))),
+    0,
+)
+X_ONE = InitialTriple(WeakStrip(E3, frozenset(), E3), StrongStrip(E3, ()), 1)
+PLANT_TRIPLES = {"A_ONE": (A_ONE, "A", "RA"), "B_THEN_A": (B_THEN_A, "BA", "RARB"), "X_ONE": (X_ONE, "X", "RX")}
+
+
+def _relabelled(real, tags):
+    """The step real, with the case tag of its k-th call replaced by tags[k]."""
+    calls = itertools.count()
+
+    def planted(*args):
+        out, tag = real(*args)
+        return out, tags.get(next(calls), tag)
+
+    return planted
+
+
+# (runner, triple, planted step, plant, the message the run must raise)
+INVARIANT_PLANTS = {
+    "markmove-after-B": ("phi", "B_THEN_A", "internal_insert", lambda real: _relabelled(real, {1: CaseTag.C}),
+                         "Case C directly after Case B"),
+    "markmove-first-index": ("phi", "A_ONE", "internal_insert", lambda real: _relabelled(real, {0: CaseTag.C}),
+                             "Case C without repeated first index"),
+    "commutation": ("phi", "A_ONE", "internal_insert", lambda real: _relabelled(real, {0: CaseTag.B}),
+                    "commutation status wrong after Case B"),
+    # external_insert returning its input pair: no cover is added
+    "size": ("phi", "X_ONE", "external_insert", lambda real: lambda pair, l: pair,
+             "output strong strip has the wrong size"),
+    "reverse-markmove": ("psi", "B_THEN_A", "reverse_insert",
+                         lambda real: _relabelled(real, {0: CaseTag.RB, 1: CaseTag.RC}),
+                         "Case RC directly after Case RB"),
+    # reverse_insert returning its input pair, with the case it found
+    "landing": ("psi", "A_ONE", "reverse_insert", lambda real: lambda pair, c, l: (pair, real(pair, c, l)[1]),
+                "reverse run did not land on inside(S')"),
+    "tally": ("psi", "X_ONE", "reverse_insert", lambda real: _relabelled(real, {0: CaseTag.RA}),
+              "external count disagrees with the RX tally"),
+}
+
+
+@pytest.mark.parametrize("runner, name, step, plant, message", [
+    pytest.param(*plant, id=key) for key, plant in INVARIANT_PLANTS.items()
+])
+def test_planted_step_trips_its_run_invariant(monkeypatch, runner, name, step, plant, message):
+    # each run-level check of phi and psi, which no unplanted run reaches
+    triple, tags, rtags = PLANT_TRIPLES[name]
+    final, steps = phi_with_audit(triple, 0)
+    back, rsteps = psi_with_audit(final, 0)
+    assert back == triple  # the unplanted runs succeed, with the fixture's cases
+    assert "".join(s.case.value for s in steps) == tags and "".join(s.case.value for s in rsteps) == rtags
+    monkeypatch.setattr(localrule, step, plant(getattr(localrule, step)))
+    with pytest.raises(InvalidPair) as info:
+        phi_with_audit(triple, 0) if runner == "phi" else psi_with_audit(final, 0)
+    assert type(info.value) is InvalidPair and str(info.value) == message
+
+
 # Run under python -O, where assert statements are stripped: the square
-# identity, the strip test and the cover test must still raise.
+# identity, the strip test, the cover test and the run invariants of phi
+# must still raise.
 OPTIMIZED_CHECKS = """
-from affine_insertion import strong
+from affine_insertion import localrule, strong
 from affine_insertion.affperm import from_window as W, identity, right_mult_transposition, simple_reflection
-from affine_insertion.localrule import FinalPair, InitialPair, external_insert, reverse_insert
+from affine_insertion.localrule import (
+    CaseTag, FinalPair, InitialPair, InitialTriple, InvalidPair, external_insert, phi, reverse_insert,
+)
 from affine_insertion.strong import MarkedStrongCover, NotACover, StrongStrip
 from affine_insertion.weak import InvalidStrip, WeakStrip
 
@@ -611,6 +679,14 @@ print("cover interval", raised(NotACover, lambda: MarkedStrongCover(e, 0, 2, t02
 print("cover square", raised(NotACover, lambda: MarkedStrongCover(e, 0, 1, t02, 0)))
 print("derived cover straddle", raised(NotACover, lambda: MarkedStrongCover(None, 1, 2, t02, 0)))
 print("derived cover interval", raised(NotACover, lambda: MarkedStrongCover(None, 0, 1, e, 0)))
+
+a_one = InitialTriple(WeakStrip(e, frozenset(), e), StrongStrip(e, (MarkedStrongCover(e, 0, 1, None, 0),)), 0)
+internal_insert = localrule.internal_insert
+phi(a_one, 0)  # the unplanted run succeeds
+for label, tag in (("markmove", CaseTag.C), ("commutation", CaseTag.B)):
+    localrule.internal_insert = lambda pair, cover, l: (internal_insert(pair, cover, l)[0], tag)
+    print(label, raised(InvalidPair, lambda: phi(a_one, 0)))
+localrule.internal_insert = internal_insert
 """
 
 
@@ -632,5 +708,7 @@ def test_checks_survive_python_O():
         "cover square True",
         "derived cover straddle True",
         "derived cover interval True",
+        "markmove True",
+        "commutation True",
         "",
     ]

@@ -14,9 +14,17 @@ import affine_insertion
 from affine_insertion.affperm import identity, simple_reflection
 from affine_insertion.chains import StripChain
 from affine_insertion.insertion import BoundedMatrix
-from affine_insertion.localrule import AuditStep, CaseTag, FinalPair, InitialPair, InitialTriple
+from affine_insertion.localrule import (
+    AuditStep,
+    CaseTag,
+    EndpointMismatch,
+    FinalPair,
+    InitialPair,
+    InitialTriple,
+    PreconditionViolation,
+)
 from affine_insertion.oracles import StrongCoverOnCores
-from affine_insertion.strong import MarkedStrongCover, StrongStrip, StrongTableau
+from affine_insertion.strong import InvalidStrongStrip, MarkedStrongCover, NotACover, StrongStrip, StrongTableau
 from affine_insertion.symfunc import (
     CauchyReport,
     PieriReport,
@@ -25,7 +33,7 @@ from affine_insertion.symfunc import (
     SymPolynomial,
     WeightPolynomial,
 )
-from affine_insertion.weak import WeakStrip, WeakTableau
+from affine_insertion.weak import InvalidStrip, WeakStrip, WeakTableau
 
 E = identity(3)
 S1 = simple_reflection(3, 1)
@@ -175,3 +183,85 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(Path(affine_insertion.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+HOT_RECORDS = ("WeakStrip", "MarkedStrongCover", "StrongStrip", "FinalPair", "InitialPair", "InitialTriple", "AuditStep")
+
+
+@pytest.mark.parametrize("name", HOT_RECORDS)
+def test_slot_setters_are_the_slot_descriptors(name):
+    # each slot a class declares has its setter, the descriptor's own __set__
+    cls = type(RECORDS[name][0])
+    slots = cls.__dict__["__slots__"]
+    assert set(RECORDS[name][1]) <= set(slots)
+    for slot in slots:
+        assert getattr(cls, f"_set_{slot}").__self__ is cls.__dict__[slot]
+
+
+def _records_of_a_run():
+    """Every record one forward and one reverse run build, with the strips and
+    covers inside them: the pairs, the audit steps, the strips and covers."""
+    from affine_insertion.localrule import phi_with_audit, psi_with_audit
+
+    triple = InitialTriple(WEAK, STRONG, 1)
+    final, steps = phi_with_audit(triple, 1)
+    back, rsteps = psi_with_audit(final, 1)
+    assert back == triple
+    out = [triple, final, back]
+    for step in steps + rsteps:
+        out += [step, step.before, step.after]
+    for pair in list(out[1:]):
+        if not isinstance(pair, AuditStep):
+            out += [pair.weak, pair.strong, *pair.strong.covers]
+    return out
+
+
+def test_records_of_a_run_are_frozen_equal_and_hashed_as_rebuilt():
+    # what a run stores through the slot setters equals a rebuild through
+    # the constructor, field for field, and refuses assignment
+    records = _records_of_a_run()
+    assert {type(r).__name__ for r in records} == set(HOT_RECORDS)
+    for record in records:
+        names = type(record)._fields
+        same = type(record)(**dict(zip(names, _values(record, names))))
+        assert same == record and hash(same) == hash(record) == hash(_values(record, names))
+        if isinstance(record, MarkedStrongCover):
+            assert same.mark == record.mark
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, names[0])
+
+
+class _Forged:
+    """Pickles as the record class called with the given arguments: the
+    stream a pickle of a record with tampered fields would hold."""
+
+    def __init__(self, cls, args):
+        self.cls, self.args = cls, args
+
+    def __reduce__(self):
+        return self.cls, self.args
+
+
+S0 = simple_reflection(3, 0)
+# name -> (tampered constructor arguments, the error and message the constructor raises)
+TAMPERED = {
+    "WeakStrip": ((E, frozenset({1}), E), InvalidStrip, "is not a weak strip for A=[1]"),
+    "MarkedStrongCover": ((E, 1, 2, S0, 1), NotACover, "outside element does not match w * t_ij"),
+    "StrongStrip": ((S1, (COVER,)), InvalidStrongStrip, "covers do not chain"),
+    "FinalPair": ((WEAK, StrongStrip(E, ())), EndpointMismatch, "final pair must share its outside element"),
+    "InitialPair": ((WeakStrip(S1, (), S1), STRONG), EndpointMismatch, "initial pair must share its inside element"),
+    "InitialTriple": ((WEAK, STRONG, 2), PreconditionViolation, "need size(W) + e < n, got 1 + 2 vs n=3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED))
+def test_tampered_pickle_raises_the_constructor_error(name):
+    args, error, message = TAMPERED[name]
+    cls = type(RECORDS[name][0])
+    with pytest.raises(error) as info:
+        pickle.loads(pickle.dumps(_Forged(cls, args)))
+    assert type(info.value) is error and message in str(info.value)
+    assert pickle.loads(pickle.dumps(_Forged(cls, _values(RECORDS[name][0], RECORDS[name][1])))) == RECORDS[name][0]

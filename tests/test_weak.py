@@ -2,6 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_insertion.affperm import (
     dynkin_flip,
@@ -11,19 +13,25 @@ from affine_insertion.affperm import (
     identity,
     reduced_word,
     simple_reflection,
+    transposition,
 )
-from affine_insertion.oracles import cyclic_components, cyclically_increasing, weak_strip_between, weak_strip_length_check
+from affine_insertion.oracles import (
+    apply_cA,
+    cyclic_components,
+    cyclically_increasing,
+    weak_strip_between,
+    weak_strip_is_valid,
+    weak_strip_length_check,
+)
 from affine_insertion.weak import (
     FullSet,
     InvalidStrip,
     WeakStrip,
     WeakTableau,
-    apply_cA,
     count_standard_weak,
     count_weak_tableaux,
     cyclically_decreasing,
     normalize_residues,
-    weak_strip_is_valid,
     weak_strips_from,
     weak_tableaux,
 )
@@ -145,6 +153,48 @@ def test_criterion_matches_length_check():
                         assert weak_strip_is_valid(w, members, v) == weak_strip_length_check(
                             w, members, v
                         )
+
+
+@st.composite
+def _strip_candidates(draw):
+    """(w, residues, v): v is c_A * w, or that one transposition off, on the
+    left or the right; residues is A, or translates of its members as a
+    frozenset or a list."""
+    n = draw(st.integers(2, 12))
+    w = from_reduced_word(n, draw(st.lists(st.integers(0, n - 1), max_size=3 * n)))
+    members = draw(st.frozensets(st.integers(0, n - 1), max_size=n - 1))
+    v = cyclically_decreasing(n, members) * w
+    off = draw(st.sampled_from(["none", "left", "right"]))
+    if off != "none":
+        a = draw(st.integers(-n, n))
+        b = draw(st.integers(-n, 2 * n).filter(lambda b: (b - a) % n))
+        t = transposition(n, a, b)
+        v = t * v if off == "left" else v * t
+    form = draw(st.sampled_from([frozenset, list, None]))
+    if form is not None:  # translates of the residues, as a frozenset or a list
+        members = form(x + n * draw(st.integers(-2, 2)) for x in sorted(members))
+    return w, members, v
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(_strip_candidates())
+def test_weak_strip_accepts_what_the_length_check_accepts(case):
+    # the constructor's strip test against length additivity, near misses included
+    w, members, v = case
+    if weak_strip_length_check(w, members, v):
+        strip = WeakStrip(w, members, v)
+        assert strip.residues == normalize_residues(w.n, members) and strip.outside == v
+    else:
+        with pytest.raises(InvalidStrip, match="is not a weak strip"):
+            WeakStrip(w, members, v)
+
+
+def test_weak_strip_refuses_a_full_residue_set():
+    for n in (2, 3, 5):
+        w = from_reduced_word(n, [0, 1])
+        for full in (frozenset(range(n)), frozenset(range(n, 2 * n)), list(range(-n, 0))):
+            with pytest.raises(FullSet, match=f"proper subset of Z/{n}Z"):
+                WeakStrip(w, full, w)
 
 
 def test_weaknoinv_property():
