@@ -155,7 +155,7 @@ class AffinePermutation:
             vals = self.window  # a shift of the stored window by a multiple of n
         else:
             vals = [self(l + m) for m in range(1, self.n + 1)]
-        return all(map(int.__lt__, vals, vals[1:]))
+        return sorted(vals) == list(vals)  # window values are distinct, so sorted means increasing
 
     def has_right_descent(self, r: int) -> bool:
         """ell(w * s_r) < ell(w), tested on window values."""

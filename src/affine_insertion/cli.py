@@ -185,7 +185,7 @@ def cmd_insert(args) -> int:
     v = parse_window(args.v, n) if args.v else identity(n)
     if u != v:
         raise ValueError("with empty border tableaux, --u and --v must agree")
-    p, q, g = affine_insert(u, v, StrongTableau(u, ()), WeakTableau(u, ()), m, l, return_diagram=True)
+    p, q, *g = affine_insert(u, v, StrongTableau(u, ()), WeakTableau(u, ()), m, l, return_diagram=args.audit)
     doc = pair_to_json(p, q, n, l)
     doc["P_core"] = None
     try:
@@ -193,8 +193,8 @@ def cmd_insert(args) -> int:
         doc["P_core"] = format_partition(core_of(p.outside))
     except ValueError as exc:  # non-Grassmannian chains have no core rendering
         grids = dict.fromkeys("PQ", f"(no core rendering: {exc})")
-    if args.audit:
-        doc["audit"] = {f"{i},{j}": audit_to_json(steps) for (i, j), steps in sorted(g.audits.items())}
+    if g:
+        doc["audit"] = {f"{i},{j}": audit_to_json(steps) for (i, j), steps in sorted(g[0].audits.items())}
     if args.format == "json":
         print(dumps(doc))
     else:

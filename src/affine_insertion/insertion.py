@@ -2,9 +2,9 @@
 Growth diagrams assembling the local rule into the global insertion map
 between triples (T, U, m) and pairs (P, Q), plus the classical RSK oracle.
 
-The diagram is a grid of group elements with strong-strip rows and
-weak-strip columns; every cell is one application of the local rule to its
-north and west edges with excitation m_ij.  Matrix indices are 1-based.
+The diagram is a grid of group elements with strong-strip rows and weak-strip
+columns; each cell applies the local rule to its north and west edges and m_ij
+(1-based).  The maps keep one row at a time; return_diagram=True keeps the grid.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "InvalidPair",
     "BoundedMatrix",
     "GrowthDiagram",
+    "insert_row",
     "affine_insert",
     "affine_uninsert",
     "grassmannian_rsk",
@@ -91,13 +92,12 @@ class GrowthDiagram:
     ends there, so the corner is the only vertex stored.
     """
 
-    def __init__(self, nrows: int, ncols: int, corner: AffinePermutation, hstrips=None, vstrips=None,
-                 entries=None, audits=None):
+    def __init__(self, nrows: int, ncols: int, corner: AffinePermutation, hstrips, vstrips, entries):
         self.nrows, self.ncols, self.corner = nrows, ncols, corner
-        self.hstrips: dict[tuple[int, int], StrongStrip] = {} if hstrips is None else hstrips
-        self.vstrips: dict[tuple[int, int], WeakStrip] = {} if vstrips is None else vstrips
-        self.entries: dict[tuple[int, int], int] = {} if entries is None else entries
-        self.audits: dict[tuple[int, int], tuple[AuditStep, ...]] = {} if audits is None else audits
+        self.hstrips: dict[tuple[int, int], StrongStrip] = hstrips
+        self.vstrips: dict[tuple[int, int], WeakStrip] = vstrips
+        self.entries: dict[tuple[int, int], int] = entries
+        self.audits: dict[tuple[int, int], tuple[AuditStep, ...]] = {}
 
     def row_tableau(self, i: int) -> StrongTableau:
         inside = self.vstrips[(i, 0)].outside if i else self.corner
@@ -114,6 +114,18 @@ def _padded(seq, count: int, fill=0) -> tuple:
     return seq + (fill,) * (count - len(seq))
 
 
+def insert_row(west: WeakStrip, north, entries, l: int, g: GrowthDiagram | None = None, i: int = 0):
+    """One row step: (west weak, north strong strips, entries) -> (south strong strips, east weak); g keeps row i."""
+    south = []
+    for j, (s, e) in enumerate(zip(north, entries), 1):
+        out, tags = phi_with_audit(InitialTriple(west, s, e), l)
+        west = out.weak
+        south.append(out.strong)
+        if g is not None:
+            g.vstrips[(i, j)], g.hstrips[(i, j)], g.audits[(i, j)] = west, out.strong, tags
+    return south, west
+
+
 def affine_insert(
     u: AffinePermutation,
     v: AffinePermutation,
@@ -122,11 +134,14 @@ def affine_insert(
     m: BoundedMatrix,
     l: int = 0,
     return_diagram: bool = False,
+    prefix: dict | None = None,
 ):
     """Global forward map: triple (T, U, m) to the pair (P, Q).
 
     T is the zero-th row of the diagram ending at u, U the zero-th column
     ending at v; the stabilized bottom row and right column come back.
+    A dict passed as prefix keeps one row state per depth for each border,
+    level and width: a matrix reruns only the rows below those it shares.
     """
     n = u.n
     if t_tab.inside != u_tab.inside:
@@ -142,21 +157,22 @@ def affine_insert(
     if any(a + b > n - 1 for a, b in zip(wt_u, rowsums)):
         raise WeightOverflow(f"wt(U) + rowsums = {tuple(a+b for a,b in zip(wt_u, rowsums))} exceeds n-1")
 
-    g = GrowthDiagram(nrows, ncols, t_tab.inside, entries=dict(m.entries))
-    row = list(_padded(t_tab.strips, ncols, StrongStrip(u, ())))  # the strips north of the current row
-    for j, s in enumerate(row, 1):
-        g.hstrips[(0, j)] = s
-    for i, s in enumerate(_padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v)), 1):
-        g.vstrips[(i, 0)] = s
-    for i in range(1, nrows + 1):
-        west = g.vstrips[(i, 0)]
-        for j, north in enumerate(row, 1):
-            out, tags = phi_with_audit(InitialTriple(west, north, g.entries.get((i, j), 0)), l)
-            west = g.vstrips[(i, j)] = out.weak
-            row[j - 1] = g.hstrips[(i, j)] = out.strong
-            g.audits[(i, j)] = tags
-    p_tab = g.row_tableau(nrows)
-    q_tab = g.column_tableau(ncols)
+    row = _padded(t_tab.strips, ncols, StrongStrip(u, ()))  # the strips north of the current row
+    wests = _padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v))
+    g = GrowthDiagram(nrows, ncols, t_tab.inside, {(0, j): s for j, s in enumerate(row, 1)},
+                      {(i, 0): s for i, s in enumerate(wests, 1)}, dict(m.entries)) if return_diagram else None
+    chain = None if prefix is None else prefix.setdefault((t_tab, u_tab, l, ncols), [])  # states of rows 1, 2, ...
+    east, get, js = [], m.entries.get, range(1, ncols + 1)
+    for i, west in enumerate(wests, 1):
+        entries = [get((i, j), 0) for j in js]
+        if g is None and i <= len(chain or ()) and chain[i - 1][0] == entries:
+            row, west = chain[i - 1][1]
+        else:
+            row, west = insert_row(west, row, entries, l, g, i)
+            if chain is not None:
+                chain[i - 1:] = [(entries, (row, west))]
+        east.append(west)
+    p_tab, q_tab = StrongTableau(v, row), WeakTableau(u, east)  # P starts where U ends, Q where T ends
     # weight bookkeeping of the theorem, rechecked on every run
     wt_t = _padded(t_tab.weight(), ncols)
     cols = m.colsums(ncols)
@@ -175,42 +191,41 @@ def affine_uninsert(
     l: int = 0,
     return_diagram: bool = False,
 ):
-    """Global reverse map: pair (P, Q) back to the triple (T, U, m)."""
+    """Global reverse map: pair (P, Q) back to the triple (T, U, m), row by row from the southeast corner."""
     if p_tab.outside != q_tab.outside:
         raise InvalidPair("P and Q must share their outside element")
     nrows = len(q_tab.strips)
     ncols = len(p_tab.strips)
-    g = GrowthDiagram(nrows, ncols, p_tab.inside)
-    for j, s in enumerate(p_tab.strips, 1):
-        g.hstrips[(nrows, j)] = s
-    for i, s in enumerate(q_tab.strips, 1):
-        g.vstrips[(i, ncols)] = s
+    row, wests, entries = list(p_tab.strips), [], {}  # row: the strips south of the current row
+    g = GrowthDiagram(nrows, ncols, p_tab.inside, {(nrows, j): s for j, s in enumerate(p_tab.strips, 1)},
+                      {(i, ncols): s for i, s in enumerate(q_tab.strips, 1)}, entries) if return_diagram else None
     for i in range(nrows, 0, -1):
+        west = q_tab.strips[i - 1]
         for j in range(ncols, 0, -1):
-            south = g.hstrips[(i, j)]
-            east = g.vstrips[(i, j)]
             try:
-                triple, tags = psi_with_audit(FinalPair(east, south), l)
+                triple, tags = psi_with_audit(FinalPair(west, row[j - 1]), l)
             except ValueError as exc:
                 raise InvalidPair(f"cell ({i},{j}) is not reversible: {exc}") from exc
-            g.vstrips[(i, j - 1)] = triple.weak
-            g.hstrips[(i - 1, j)] = triple.strong
+            west = triple.weak
+            row[j - 1] = triple.strong
             if triple.e:
-                g.entries[(i, j)] = triple.e
-            g.audits[(i, j)] = tags
-    if nrows:  # with no rows, the corner is inside(P)
-        g.corner = g.vstrips[(1, 0)].inside
-    t_tab, u_tab = g.row_tableau(0), g.column_tableau(0)
-    m = BoundedMatrix(g.entries)
+                entries[(i, j)] = triple.e
+            if g is not None:
+                g.vstrips[(i, j - 1)], g.hstrips[(i - 1, j)], g.audits[(i, j)] = west, triple.strong, tags
+        wests.append(west)
+    corner = wests[-1].inside if nrows else p_tab.inside  # with no rows, the corner is inside(P)
+    t_tab, u_tab = StrongTableau(corner, row), WeakTableau(corner, wests[::-1])
+    m = BoundedMatrix(entries)
     if return_diagram:
+        g.corner = corner
         return t_tab, u_tab, m, g
     return t_tab, u_tab, m
 
 
-def grassmannian_rsk(m: BoundedMatrix, n: int, l: int = 0, return_diagram: bool = False):
+def grassmannian_rsk(m: BoundedMatrix, n: int, l: int = 0, return_diagram: bool = False, prefix: dict | None = None):
     """Affine insertion of a bare matrix: u = v = id, empty border tableaux."""
     e = identity(n)
-    return affine_insert(e, e, StrongTableau(e, ()), WeakTableau(e, ()), m, l, return_diagram)
+    return affine_insert(e, e, StrongTableau(e, ()), WeakTableau(e, ()), m, l, return_diagram, prefix)
 
 
 def classical_rsk(m: BoundedMatrix) -> tuple[list[list[int]], list[list[int]]]:

@@ -111,12 +111,14 @@ def _random_triple(n, l, rng, max_len, strip_max, e_max) -> InitialTriple:
 
 def verify_global_roundtrip(n: int, dim: int = 2, total: int = 3, l: int = 0) -> VerifyResult:
     """Insert and uninsert every n-bounded dim x dim matrix with entry sum
-    at most total; affine_insert itself checks the weight identities."""
+    at most total; affine_insert itself checks the weight identities.  Row order
+    lets the insertions share top rows (prefix); uninsertions stay per matrix."""
     res = VerifyResult(True)
     count = 0
+    prefix = {}
     for m in _bounded_matrices(n, dim, total):
         try:
-            p, q = grassmannian_rsk(m, n, l)
+            p, q = grassmannian_rsk(m, n, l, prefix=prefix)
             t, u, m2 = affine_uninsert(p, q, l)
         except ValueError as exc:
             res.fail(f"global roundtrip raised at {m.to_rows()}: {exc}")
@@ -212,6 +214,8 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
     The limit is claimed where every shape is an n-core.  A matrix here has
     at most entries * dim**2 cells, and every partition with fewer than n
     cells is an n-core, so n must exceed entries * dim**2.
+    Row order lets the insertions share top rows (prefix, one row state per
+    depth); each matrix still gets its own P, Q, checks and oracle comparison.
     """
     if entries < 1 or dim < 1:
         raise ValueError(f"rsk-limit needs --entries >= 1 and --dim >= 1, got {entries} and {dim}")
@@ -219,12 +223,13 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
         raise ValueError(f"rsk-limit needs --n > entries * dim^2 = {entries * dim * dim}, got {n}")
     res = VerifyResult(True)
     count = 0
+    prefix = {}
     for values in itertools.product(range(entries + 1), repeat=dim * dim):
         m = BoundedMatrix.from_rows([values[k * dim : (k + 1) * dim] for k in range(dim)])
         if not m.entries:
             continue
         try:
-            p, q = grassmannian_rsk(m, n, 0)
+            p, q = grassmannian_rsk(m, n, 0, prefix=prefix)
             p_rows = _filling_rows(strong_tableau_filling(p), core_of(p.outside), strong=True)
             q_rows = _filling_rows(weak_tableau_filling(q), core_of(q.outside), strong=False)
         except ValueError as exc:

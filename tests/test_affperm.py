@@ -294,3 +294,12 @@ def test_window_text_form():
         parse_window("-7,-1,4,14")
     with pytest.raises(ValueError):
         parse_window("[1,2]", n=3)
+
+
+def test_is_grassmannian_is_an_increasing_window_at_every_level():
+    for n in (2, 3, 4):
+        for level in elements_by_length(n, 5):
+            for w in level:
+                for l in range(-n, n + 1):
+                    vals = [w(l + m) for m in range(1, n + 1)]
+                    assert w.is_grassmannian(l) == all(a < b for a, b in zip(vals, vals[1:])), (w, l)

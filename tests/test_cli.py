@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from affine_insertion import cli, clear_caches, localrule, symfunc, verify
+from affine_insertion import cli, clear_caches, insertion, localrule, symfunc, verify
 from affine_insertion.affperm import from_reduced_word, format_window, identity, parse_window
 from affine_insertion.cli import build_parser, main
 from affine_insertion.cores import core_of, offsets, parse_partition
@@ -441,6 +441,23 @@ def test_a_raising_plant_fails_its_suite_not_as_bad_input(capsys, monkeypatch, s
     rc, out = _planted_run(capsys, monkeypatch, fault, "verify", suite, *SUITE_SLICES[suite])
     assert rc == 1
     assert re.search(r"^FAIL \(.+ raised at .+: .+ is not a strong cover\)$", out, re.MULTILINE)
+
+
+def _insert_row_reversing_the_first_row(west, north, entries, l, g=None, i=0, real=insertion.insert_row):
+    return real(west, north, entries[::-1] if i == 1 else entries, l, g, i)
+
+
+def test_a_fault_in_a_shared_first_row_fails_rsk_limit(capsys, monkeypatch):
+    # the suite computes each first row once for all the matrices that share
+    # it; the first matrix whose first row the plant changes still fails
+    fault = (insertion, "insert_row", _insert_row_reversing_the_first_row)
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", "rsk-limit", *SUITE_SLICES["rsk-limit"])
+    assert rc == 1
+    assert out.splitlines() == [
+        "FAIL limit RSK raised at [[0, 1]]: wt(P) = (1,) differs from wt(T) + colsums",
+        "rsk-limit: 3 matrices, n=5, 2x2, entries<=1",
+        "FAIL (limit RSK raised at [[0, 1]]: wt(P) = (1,) differs from wt(T) + colsums)",
+    ]
 
 
 def test_each_suite_takes_exactly_its_signature(capsys):

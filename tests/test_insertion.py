@@ -373,3 +373,102 @@ def test_growth_diagrams_match_golden_digest():
     assert diagrams == 75
     assert tags == set(localrule.CaseTag)
     assert digest.hexdigest() == GROWTH_GOLDEN_SHA256
+
+
+def test_border_checks_of_insert_raise_exactly():
+    e = identity(3)
+    s1 = from_reduced_word(3, [1])
+    one = StrongTableau(s1, ())
+    for args, message in [
+        ((s1, e, one, WeakTableau(e, ()), GROWTH_MATRIX), "inside(T) must equal inside(U)"),
+        ((e, e, one, WeakTableau(s1, ()), GROWTH_MATRIX), "tableau outsides must be u and v"),
+        ((s1, e, one, WeakTableau(s1, ()), GROWTH_MATRIX), "tableau outsides must be u and v"),
+    ]:
+        with pytest.raises(InvalidPair) as info:
+            affine_insert(*args)
+        assert type(info.value) is InvalidPair and str(info.value) == message
+
+
+def test_uninsert_wraps_an_irreversible_cell():
+    # a pair of level 0 read at level 1: the bottom row's marks do not straddle 1
+    p, q = grassmannian_rsk(GROWTH_MATRIX, 3, 0)
+    with pytest.raises(InvalidPair) as info:
+        affine_uninsert(p, q, 1)
+    assert type(info.value) is InvalidPair
+    assert str(info.value) == "cell (3,2) is not reversible: (0,1) does not straddle l=1"
+    assert type(info.value.__cause__) is strong.NotACover
+
+
+def test_diagram_free_paths_match_the_diagram():
+    cases = list(_golden_growth_diagrams())
+    for n, l, m in cases:
+        p, q, g = grassmannian_rsk(m, n, l, return_diagram=True)
+        assert grassmannian_rsk(m, n, l) == (p, q)
+        assert (g.row_tableau(g.nrows), g.column_tableau(g.ncols)) == (p, q)
+        t_tab, u_tab, back, h = affine_uninsert(p, q, l, return_diagram=True)
+        assert affine_uninsert(p, q, l) == (t_tab, u_tab, back)
+        assert (h.row_tableau(0), h.column_tableau(0), BoundedMatrix(h.entries)) == (t_tab, u_tab, back)
+    assert len(cases) == 75
+    p, q = grassmannian_rsk(GROWTH_MATRIX, 3)
+    for p_tab, q_tab in [(p, WeakTableau(p.outside, ())), (StrongTableau(q.outside, ()), q)]:
+        t, u, m, g = affine_uninsert(p_tab, q_tab, 0, return_diagram=True)
+        assert affine_uninsert(p_tab, q_tab, 0) == (t, u, m)
+        back = affine_insert(t.outside, u.outside, t, u, m, 0, return_diagram=True)
+        assert affine_insert(t.outside, u.outside, t, u, m, 0) == back[:2] == (p_tab, q_tab)
+
+
+@st.composite
+def _matrices_sharing_top_rows(draw):
+    """Matrices at one n and l whose rows are drawn from a few candidate
+    rows, so that many share their top rows; listed in the order of their rows."""
+    n = draw(st.integers(3, 5))
+    l = draw(st.integers(-2, 2))
+    ncols = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, n - 1), min_size=ncols, max_size=ncols).filter(lambda r: sum(r) < n)
+    rows = draw(st.lists(row, min_size=1, max_size=3, unique_by=tuple))
+    matrices = draw(st.lists(st.lists(st.sampled_from(rows), min_size=1, max_size=3), min_size=1, max_size=8))
+    return n, l, [BoundedMatrix.from_rows(m) for m in sorted(matrices)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_matrices_sharing_top_rows())
+def test_prefix_walk_matches_each_matrix(case):
+    n, l, matrices = case
+    prefix = {}
+    for m in matrices:
+        assert grassmannian_rsk(m, n, l, prefix=prefix) == grassmannian_rsk(m, n, l)
+    # a diagram request runs every row, and rows kept at another level or rank are not read
+    m = matrices[-1]
+    p, q, g = grassmannian_rsk(m, n, l, True, prefix)
+    assert (p, q) == grassmannian_rsk(m, n, l) and len(g.audits) == m.nrows * m.ncols
+    assert grassmannian_rsk(m, n, l + 1, prefix=prefix) == grassmannian_rsk(m, n, l + 1)
+    assert grassmannian_rsk(m, n + 1, l, prefix=prefix) == grassmannian_rsk(m, n + 1, l)
+
+
+def test_prefix_walk_runs_only_the_rows_it_does_not_share(monkeypatch):
+    rows = []
+    monkeypatch.setattr(insertion, "insert_row", lambda *args, real=insertion.insert_row: rows.append(args[2]) or real(*args))
+    prefix = {}
+    for m in ([[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [1, 1], [0, 2]], [[1], [1]], [[1, 0], [1, 1], [0, 1]],
+              [[0, 1], [1, 1]]):
+        grassmannian_rsk(BoundedMatrix.from_rows(m), 4, 0, prefix=prefix)
+    # the one-column matrix keeps its own rows, and the two-column ones go on sharing theirs
+    assert rows == [[1, 0], [0, 1], [1, 1], [0, 2], [1], [1], [0, 1], [0, 1], [1, 1]]
+    assert len(prefix) == 2
+
+
+@pytest.mark.parametrize("return_diagram", [False, True])
+def test_each_cell_calls_the_local_rule_once_through_the_module(monkeypatch, return_diagram):
+    # the benchmark's tracer counts cells by rebinding these module globals
+    calls = []
+    for name in ("phi_with_audit", "psi_with_audit"):
+        real = getattr(insertion, name)
+        monkeypatch.setattr(insertion, name, lambda pair, l, name=name, real=real: calls.append(name) or real(pair, l))
+    for n, l, m in list(_golden_growth_diagrams())[::10]:
+        calls.clear()
+        p, q = grassmannian_rsk(m, n, l, return_diagram)[:2]
+        cells = m.nrows * m.ncols
+        assert calls == ["phi_with_audit"] * cells
+        calls.clear()
+        affine_uninsert(p, q, l, return_diagram)
+        assert calls == ["psi_with_audit"] * (len(q.strips) * len(p.strips))
