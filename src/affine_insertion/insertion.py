@@ -4,7 +4,8 @@ between triples (T, U, m) and pairs (P, Q), plus the classical RSK oracle.
 
 The diagram is a grid of group elements with strong-strip rows and weak-strip
 columns; each cell applies the local rule to its north and west edges and m_ij
-(1-based).  The maps keep one row at a time; return_diagram=True keeps the grid.
+(1-based).  The maps run one row step at a time; return_diagram=True keeps the
+grid.  MatrixWalk shares rows across matrices in both directions.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ __all__ = [
     "BoundedMatrix",
     "GrowthDiagram",
     "insert_row",
+    "uninsert_row",
     "affine_insert",
     "affine_uninsert",
     "grassmannian_rsk",
+    "MatrixWalk",
     "classical_rsk",
 ]
 
@@ -126,92 +129,78 @@ def insert_row(west: WeakStrip, north, entries, l: int, g: GrowthDiagram | None 
     return south, west
 
 
-def affine_insert(
-    u: AffinePermutation,
-    v: AffinePermutation,
-    t_tab: StrongTableau,
-    u_tab: WeakTableau,
-    m: BoundedMatrix,
-    l: int = 0,
-    return_diagram: bool = False,
-    prefix: dict | None = None,
-):
+def uninsert_row(east: WeakStrip, south, l: int, g: GrowthDiagram | None = None, i: int = 0):
+    """insert_row undone right to left: (east weak, south strong strips) -> (north strips, west weak, entries)."""
+    west, north, entries = east, list(south), [0] * len(south)
+    for j in range(len(north), 0, -1):
+        try:
+            triple, tags = psi_with_audit(FinalPair(west, north[j - 1]), l)
+        except ValueError as exc:
+            raise InvalidPair(f"cell ({i},{j}) is not reversible: {exc}") from exc
+        west, north[j - 1], entries[j - 1] = triple.weak, triple.strong, triple.e
+        if g is not None:
+            g.vstrips[(i, j - 1)], g.hstrips[(i - 1, j)], g.audits[(i, j)] = west, triple.strong, tags
+    return north, west, entries
+
+
+def _check_rowsums(u_tab: WeakTableau, m: BoundedMatrix, nrows: int, n: int) -> None:
+    """The theorem's input bounds: each row sum of m below n, and with wt(U) at most n - 1."""
+    rowsums = m.rowsums(nrows)
+    if any(r >= n for r in rowsums):
+        raise InputNotBounded(f"row sums {rowsums} must be < n = {n}")
+    sums = tuple(a + b for a, b in zip(_padded(u_tab.weight(), nrows), rowsums))
+    if any(s > n - 1 for s in sums):
+        raise WeightOverflow(f"wt(U) + rowsums = {sums} exceeds n-1")
+
+
+def _checked_pair(t_tab: StrongTableau, u_tab: WeakTableau, m: BoundedMatrix, south, east):
+    """(P, Q) from the strips south of the last row and east of each row, with the theorem's weights rechecked."""
+    ncols, nrows = len(south), len(east)
+    p_tab, q_tab = StrongTableau(u_tab.outside, south), WeakTableau(t_tab.outside, east)  # P starts where U ends
+    wt_t, wt_u = _padded(t_tab.weight(), ncols), _padded(u_tab.weight(), nrows)
+    if _padded(p_tab.weight(), ncols) != tuple(a + b for a, b in zip(wt_t, m.colsums(ncols))):
+        raise InvalidPair(f"wt(P) = {p_tab.weight()} differs from wt(T) + colsums")
+    if _padded(q_tab.weight(), nrows) != tuple(a + b for a, b in zip(wt_u, m.rowsums(nrows))):
+        raise InvalidPair(f"wt(Q) = {q_tab.weight()} differs from wt(U) + rowsums")
+    return p_tab, q_tab
+
+
+def affine_insert(u: AffinePermutation, v: AffinePermutation, t_tab: StrongTableau, u_tab: WeakTableau,
+                  m: BoundedMatrix, l: int = 0, return_diagram: bool = False):
     """Global forward map: triple (T, U, m) to the pair (P, Q).
 
     T is the zero-th row of the diagram ending at u, U the zero-th column
     ending at v; the stabilized bottom row and right column come back.
-    A dict passed as prefix keeps one row state per depth for each border,
-    level and width: a matrix reruns only the rows below those it shares.
     """
-    n = u.n
     if t_tab.inside != u_tab.inside:
         raise InvalidPair("inside(T) must equal inside(U)")
     if t_tab.outside != u or u_tab.outside != v:
         raise InvalidPair("tableau outsides must be u and v")
-    nrows = max(len(u_tab.strips), m.nrows)
-    ncols = max(len(t_tab.strips), m.ncols)
-    rowsums = m.rowsums(nrows)
-    wt_u = _padded(u_tab.weight(), nrows)
-    if any(r >= n for r in rowsums):
-        raise InputNotBounded(f"row sums {rowsums} must be < n = {n}")
-    if any(a + b > n - 1 for a, b in zip(wt_u, rowsums)):
-        raise WeightOverflow(f"wt(U) + rowsums = {tuple(a+b for a,b in zip(wt_u, rowsums))} exceeds n-1")
-
+    nrows, ncols = max(len(u_tab.strips), m.nrows), max(len(t_tab.strips), m.ncols)
+    _check_rowsums(u_tab, m, nrows, u.n)
     row = _padded(t_tab.strips, ncols, StrongStrip(u, ()))  # the strips north of the current row
     wests = _padded(u_tab.strips, nrows, WeakStrip(v, frozenset(), v))
     g = GrowthDiagram(nrows, ncols, t_tab.inside, {(0, j): s for j, s in enumerate(row, 1)},
                       {(i, 0): s for i, s in enumerate(wests, 1)}, dict(m.entries)) if return_diagram else None
-    chain = None if prefix is None else prefix.setdefault((t_tab, u_tab, l, ncols), [])  # states of rows 1, 2, ...
     east, get, js = [], m.entries.get, range(1, ncols + 1)
     for i, west in enumerate(wests, 1):
-        entries = [get((i, j), 0) for j in js]
-        if g is None and i <= len(chain or ()) and chain[i - 1][0] == entries:
-            row, west = chain[i - 1][1]
-        else:
-            row, west = insert_row(west, row, entries, l, g, i)
-            if chain is not None:
-                chain[i - 1:] = [(entries, (row, west))]
+        row, west = insert_row(west, row, [get((i, j), 0) for j in js], l, g, i)
         east.append(west)
-    p_tab, q_tab = StrongTableau(v, row), WeakTableau(u, east)  # P starts where U ends, Q where T ends
-    # weight bookkeeping of the theorem, rechecked on every run
-    wt_t = _padded(t_tab.weight(), ncols)
-    cols = m.colsums(ncols)
-    if _padded(p_tab.weight(), ncols) != tuple(a + b for a, b in zip(wt_t, cols)):
-        raise InvalidPair(f"wt(P) = {p_tab.weight()} differs from wt(T) + colsums")
-    if _padded(q_tab.weight(), nrows) != tuple(a + b for a, b in zip(wt_u, rowsums)):
-        raise InvalidPair(f"wt(Q) = {q_tab.weight()} differs from wt(U) + rowsums")
-    if return_diagram:
-        return p_tab, q_tab, g
-    return p_tab, q_tab
+    p_tab, q_tab = _checked_pair(t_tab, u_tab, m, row, east)
+    return (p_tab, q_tab, g) if return_diagram else (p_tab, q_tab)
 
 
-def affine_uninsert(
-    p_tab: StrongTableau,
-    q_tab: WeakTableau,
-    l: int = 0,
-    return_diagram: bool = False,
-):
+def affine_uninsert(p_tab: StrongTableau, q_tab: WeakTableau, l: int = 0, return_diagram: bool = False):
     """Global reverse map: pair (P, Q) back to the triple (T, U, m), row by row from the southeast corner."""
     if p_tab.outside != q_tab.outside:
         raise InvalidPair("P and Q must share their outside element")
-    nrows = len(q_tab.strips)
-    ncols = len(p_tab.strips)
-    row, wests, entries = list(p_tab.strips), [], {}  # row: the strips south of the current row
+    nrows, ncols = len(q_tab.strips), len(p_tab.strips)
+    row, wests, entries = p_tab.strips, [], {}  # row: the strips south of the current row
     g = GrowthDiagram(nrows, ncols, p_tab.inside, {(nrows, j): s for j, s in enumerate(p_tab.strips, 1)},
                       {(i, ncols): s for i, s in enumerate(q_tab.strips, 1)}, entries) if return_diagram else None
     for i in range(nrows, 0, -1):
-        west = q_tab.strips[i - 1]
-        for j in range(ncols, 0, -1):
-            try:
-                triple, tags = psi_with_audit(FinalPair(west, row[j - 1]), l)
-            except ValueError as exc:
-                raise InvalidPair(f"cell ({i},{j}) is not reversible: {exc}") from exc
-            west = triple.weak
-            row[j - 1] = triple.strong
-            if triple.e:
-                entries[(i, j)] = triple.e
-            if g is not None:
-                g.vstrips[(i, j - 1)], g.hstrips[(i - 1, j)], g.audits[(i, j)] = west, triple.strong, tags
+        row, west, found = uninsert_row(q_tab.strips[i - 1], row, l, g, i)
+        entries.update(((i, j), e) for j, e in enumerate(found, 1) if e)
         wests.append(west)
     corner = wests[-1].inside if nrows else p_tab.inside  # with no rows, the corner is inside(P)
     t_tab, u_tab = StrongTableau(corner, row), WeakTableau(corner, wests[::-1])
@@ -222,10 +211,47 @@ def affine_uninsert(
     return t_tab, u_tab, m
 
 
-def grassmannian_rsk(m: BoundedMatrix, n: int, l: int = 0, return_diagram: bool = False, prefix: dict | None = None):
+def grassmannian_rsk(m: BoundedMatrix, n: int, l: int = 0, return_diagram: bool = False):
     """Affine insertion of a bare matrix: u = v = id, empty border tableaux."""
     e = identity(n)
-    return affine_insert(e, e, StrongTableau(e, ()), WeakTableau(e, ()), m, l, return_diagram, prefix)
+    return affine_insert(e, e, StrongTableau(e, ()), WeakTableau(e, ()), m, l, return_diagram)
+
+
+class MatrixWalk:
+    """grassmannian_rsk and its checked inverse at one n and l, for matrices taken in the order of their rows.
+
+    Each width keeps the rows of its last matrix; insert reruns only the rows below those a matrix shares.
+    uninsert undoes rows bottom up, checking the strips north of each, its west strip and its entries against
+    the forward state.  Undoing rows i, ..., 1 reads only the strips south of row i and the east strips of
+    rows 1..i, so it stops above the rows an earlier call has undone."""
+
+    def __init__(self, n: int, l: int = 0):
+        e = identity(n)
+        self.l, self.north, self.west = l, StrongStrip(e, ()), WeakStrip(e, frozenset(), e)
+        self.border = StrongTableau(e, ()), WeakTableau(e, ())
+        self.widths: dict[int, list] = {}  # width -> [its rows, how many top rows are undone]
+
+    def insert(self, m: BoundedMatrix) -> tuple[StrongTableau, WeakTableau]:
+        """(P, Q) of m, as grassmannian_rsk gives them."""
+        lines, nrows = m.to_rows(), m.nrows
+        _check_rowsums(self.border[1], m, nrows, self.west.inside.n)
+        width = self.widths.setdefault(m.ncols, [[(None, [self.north] * m.ncols, None)], 0])
+        rows = width[0]
+        for i, entries in enumerate(lines, 1):
+            if len(rows) == i or rows[i][0] != entries:
+                rows[i:] = [(entries, *insert_row(self.west, rows[i - 1][1], entries, self.l, None, i))]
+                width[1] = min(width[1], i - 1)
+        return _checked_pair(*self.border, m, rows[nrows][1], [east for _, _, east in rows[1 : nrows + 1]])
+
+    def uninsert(self, p_tab: StrongTableau, q_tab: WeakTableau) -> None:
+        """Undo the (P, Q) that insert gave; raise InvalidPair at a row that does not give back its forward state."""
+        width = self.widths[len(p_tab.strips)]
+        rows, south = width[0], p_tab.strips
+        for i in range(len(q_tab.strips), width[1], -1):
+            south, west, entries = uninsert_row(q_tab.strips[i - 1], south, self.l, None, i)
+            if south != rows[i - 1][1] or west != self.west or entries != rows[i][0]:
+                raise InvalidPair(f"row {i} does not uninsert to its forward state")
+        width[1] = max(width[1], len(q_tab.strips))
 
 
 def classical_rsk(m: BoundedMatrix) -> tuple[list[list[int]], list[list[int]]]:

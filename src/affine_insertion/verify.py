@@ -15,7 +15,7 @@ import math
 import random
 
 from .affperm import AffinePermutation, elements_by_length, identity, rotate, simple_reflection
-from .insertion import BoundedMatrix, affine_uninsert, classical_rsk, grassmannian_rsk
+from .insertion import BoundedMatrix, MatrixWalk, classical_rsk
 from .localrule import InitialTriple, phi_with_audit, psi_with_audit
 from .strong import count_standard_strong, strong_strips_from
 from .cores import (
@@ -66,20 +66,15 @@ def verify_roundtrip(n: int, max_len: int = 3, l: int = 0, samples: int = 0, see
         for w in lvl:
             weaks = [s for r in range(strip_max + 1) for s in weak_strips_from(w, r)]
             strongs = [s for r in range(strip_max + 1) for s in strong_strips_from(w, r, l)]
-            for wk in weaks:
-                for st in strongs:
-                    for e in range(e_max + 1):
-                        if wk.size + e < n:
-                            cases.append(InitialTriple(wk, st, e))
-    failures = [msg for t in cases if (msg := _roundtrip_case(t, l))]
-    for msg in failures[:3]:
+            es = range(e_max + 1)
+            cases += [InitialTriple(wk, st, e) for wk in weaks for st in strongs for e in es if wk.size + e < n]
+    for msg in [msg for t in cases if (msg := _roundtrip_case(t, l))][:3]:
         res.fail(msg)
     res.lines.append(f"exhaustive roundtrip: {len(cases)} triples, n={n}, length<={max_len}")
     if samples:
         rng = random.Random(seed)
         sampled = [_random_triple(n, l, rng, max_len, strip_max, e_max) for _ in range(samples)]
-        failures = [msg for t in sampled if (msg := _roundtrip_case(t, l))]
-        for msg in failures[:3]:
+        for msg in [msg for t in sampled if (msg := _roundtrip_case(t, l))][:3]:
             res.fail(msg)
         res.lines.append(f"sampled roundtrip: {samples} triples, seed={seed}")
     return res
@@ -110,21 +105,17 @@ def _random_triple(n, l, rng, max_len, strip_max, e_max) -> InitialTriple:
 
 
 def verify_global_roundtrip(n: int, dim: int = 2, total: int = 3, l: int = 0) -> VerifyResult:
-    """Insert and uninsert every n-bounded dim x dim matrix with entry sum
-    at most total; affine_insert itself checks the weight identities.  Row order
-    lets the insertions share top rows (prefix); uninsertions stay per matrix."""
+    """Insert and uninsert every n-bounded dim x dim matrix with entry sum at most
+    total, in the order of their rows through one MatrixWalk: both halves run
+    only the rows a matrix does not share, and each row undone is checked."""
     res = VerifyResult(True)
     count = 0
-    prefix = {}
+    walk = MatrixWalk(n, l)
     for m in _bounded_matrices(n, dim, total):
         try:
-            p, q = grassmannian_rsk(m, n, l, prefix=prefix)
-            t, u, m2 = affine_uninsert(p, q, l)
+            walk.uninsert(*walk.insert(m))
         except ValueError as exc:
             res.fail(f"global roundtrip raised at {m.to_rows()}: {exc}")
-            break
-        if m2 != m or t.strips or u.strips:
-            res.fail(f"global roundtrip broke at {m.to_rows()}")
             break
         count += 1
     res.lines.append(f"global bijection: {count} matrices, n={n}, {dim}x{dim}, total<={total}")
@@ -214,8 +205,7 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
     The limit is claimed where every shape is an n-core.  A matrix here has
     at most entries * dim**2 cells, and every partition with fewer than n
     cells is an n-core, so n must exceed entries * dim**2.
-    Row order lets the insertions share top rows (prefix, one row state per
-    depth); each matrix still gets its own P, Q, checks and oracle comparison.
+    One MatrixWalk shares top rows; each matrix gets its own P, Q, checks and oracle comparison.
     """
     if entries < 1 or dim < 1:
         raise ValueError(f"rsk-limit needs --entries >= 1 and --dim >= 1, got {entries} and {dim}")
@@ -223,13 +213,13 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
         raise ValueError(f"rsk-limit needs --n > entries * dim^2 = {entries * dim * dim}, got {n}")
     res = VerifyResult(True)
     count = 0
-    prefix = {}
+    walk = MatrixWalk(n)
     for values in itertools.product(range(entries + 1), repeat=dim * dim):
         m = BoundedMatrix.from_rows([values[k * dim : (k + 1) * dim] for k in range(dim)])
         if not m.entries:
             continue
         try:
-            p, q = grassmannian_rsk(m, n, 0, prefix=prefix)
+            p, q = walk.insert(m)
             p_rows = _filling_rows(strong_tableau_filling(p), core_of(p.outside), strong=True)
             q_rows = _filling_rows(weak_tableau_filling(q), core_of(q.outside), strong=False)
         except ValueError as exc:
@@ -245,14 +235,8 @@ def verify_rsk_limit(n: int, entries: int = 1, dim: int = 2) -> VerifyResult:
 
 
 def _filling_rows(fill, shape, strong: bool) -> list[list[int]]:
-    rows = []
-    for i in range(1, len(shape) + 1):
-        row = []
-        for j in range(1, shape[i - 1] + 1):
-            val = fill[(i, j)]
-            row.append(val[0] if strong else val)
-        rows.append(row)
-    return rows
+    cell = (lambda i, j: fill[(i, j)][0]) if strong else (lambda i, j: fill[(i, j)])  # a strong cell's letter
+    return [[cell(i, j) for j in range(1, part + 1)] for i, part in enumerate(shape, 1)]
 
 
 def verify_symmetry(n: int, max_len: int = 3, l: int = 0) -> VerifyResult:

@@ -49,7 +49,7 @@ def test_outsides_count_the_enumerated_strips(n, max_len):
     # the mark DP against the strips themselves, grouped by outside at slot 0 and, through
     # the base-2^slot digits at a slot wide enough for every count, by (outside, spin)
     for w in (w for level in elements_by_length(n, max_len) for w in level):
-        for r in range(n + 1):
+        for r in range(-1, n + 1):  # r = -1: no strip, and no outside
             for l in range(-1, n + 1):
                 strips = strong_strips_from(w, r, l)
                 plain = strong_strip_outsides(w, r, l, 0)

@@ -12,8 +12,8 @@ from affine_insertion import cli, clear_caches, insertion, localrule, symfunc, v
 from affine_insertion.affperm import from_reduced_word, format_window, identity, parse_window
 from affine_insertion.cli import build_parser, main
 from affine_insertion.cores import core_of, offsets, parse_partition
-from affine_insertion.insertion import BoundedMatrix
-from affine_insertion.localrule import InitialTriple
+from affine_insertion.insertion import BoundedMatrix, grassmannian_rsk
+from affine_insertion.localrule import FinalPair, InitialTriple
 from affine_insertion.serialize import strong_strip_from_json, strong_tableau_from_json, weak_strip_from_json
 from affine_insertion.strong import strong_strips_from, strong_tableaux
 from affine_insertion.symfunc import NotSymmetric, WeightPolynomial
@@ -385,9 +385,9 @@ def _psi_changing_e(final, l, psi=verify.psi_with_audit):
     return back, audit
 
 
-def _uninsert_changing_an_entry(p, q, l, uninsert=verify.affine_uninsert):
-    t, u, m = uninsert(p, q, l)
-    return t, u, BoundedMatrix({**m.entries, (1, 1): m.entries.get((1, 1), 0) + 1})
+def _uninsert_row_changing_an_entry(east, south, l, g=None, i=0, uninsert_row=insertion.uninsert_row):
+    north, west, entries = uninsert_row(east, south, l, g, i)
+    return north, west, [entries[0] + (i == 1), *entries[1:]]
 
 
 def _count_matrices_off_on_one_key(rows, cols, count=symfunc.count_matrices):
@@ -406,7 +406,7 @@ PLANTED_FAULTS = {
     "pieri": (symfunc, "weak_strips_from", lambda w, r, strips=symfunc.weak_strips_from: strips(w, r)[1:]),
     "counts": (verify, "count_standard_weak", lambda w, count=verify.count_standard_weak: count(w) + 1),
     "rsk-limit": (verify, "classical_rsk", _rsk_swapping_two_rows),
-    "global-roundtrip": (verify, "affine_uninsert", _uninsert_changing_an_entry),
+    "global-roundtrip": (insertion, "uninsert_row", _uninsert_row_changing_an_entry),
 }
 
 
@@ -421,11 +421,25 @@ def _planted_run(capsys, monkeypatch, fault, *argv):
         clear_caches()
 
 
-@pytest.mark.parametrize("suite", [suite for suite in verify.SUITES if suite != "symmetry"])
-def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite):
-    rc, out = _planted_run(capsys, monkeypatch, PLANTED_FAULTS[suite], "verify", suite, *SUITE_SLICES[suite])
+# More planted slices, by test id, each with the later failure it must print: the n = 2
+# closed forms of counts, and the sampled triples of roundtrip.
+PLANTED_EXTRA_SLICES = {
+    "counts-n2": ("counts", ["--n", "2", "--max-m", "3"], r"^FAIL n=2 closed form broke at m=1$"),
+    "roundtrip-samples": ("roundtrip", [*SUITE_SLICES["roundtrip"], "--samples", "20"],
+                          r"^exhaustive roundtrip: .+\n(FAIL roundtrip .+\n)+sampled roundtrip: 20 triples"),
+}
+
+
+@pytest.mark.parametrize(
+    "suite, argv, pattern",
+    [pytest.param(suite, SUITE_SLICES[suite], None, id=suite) for suite in verify.SUITES if suite != "symmetry"]
+    + [pytest.param(*case, id=name) for name, case in PLANTED_EXTRA_SLICES.items()],
+)
+def test_a_planted_fault_fails_its_suite(capsys, monkeypatch, suite, argv, pattern):
+    rc, out = _planted_run(capsys, monkeypatch, PLANTED_FAULTS[suite], "verify", suite, *argv)
     assert rc == 1
     assert re.search(r"^FAIL \(.+\)$", out, re.MULTILINE)
+    assert pattern is None or re.search(pattern, out, re.MULTILINE)
 
 
 def _step_to_past_each_forward_nice_step(n, a_set, x, pred, step=1, step_to=localrule.step_to):
@@ -458,6 +472,44 @@ def test_a_fault_in_a_shared_first_row_fails_rsk_limit(capsys, monkeypatch):
         "rsk-limit: 3 matrices, n=5, 2x2, entries<=1",
         "FAIL (limit RSK raised at [[0, 1]]: wt(P) = (1,) differs from wt(T) + colsums)",
     ]
+
+
+def _psi_dropping_the_entry_of(key, psi=insertion.psi_with_audit):
+    """psi, but the final pair key gives back its triple with e = 0."""
+    def planted(final, l):
+        back, audit = psi(final, l)
+        return (InitialTriple(back.weak, back.strong, 0) if final == key else back), audit
+    return planted
+
+
+def test_a_psi_fault_keyed_on_its_inputs_fails_global_roundtrip(capsys, monkeypatch):
+    # the cell of [[1]]: the walk undoes each row once for all the matrices that share it, and the
+    # first to undo this pair is [[0, 0], [0, 1]], whose zero first row gives row 2 a first row's inputs
+    _, _, g = grassmannian_rsk(BoundedMatrix.from_rows([[1]]), 3, 0, True)
+    fault = (insertion, "psi_with_audit", _psi_dropping_the_entry_of(FinalPair(g.vstrips[(1, 1)], g.hstrips[(1, 1)])))
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", "global-roundtrip", *SUITE_SLICES["global-roundtrip"])
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "FAIL global roundtrip raised at [[0, 0], [0, 1]]: row 2 does not uninsert to its forward state"
+    )
+
+
+def _uninsert_row_reversing_the_second_frontier(east, south, l, g=None, i=0, real=insertion.uninsert_row):
+    north, west, entries = real(east, south, l, g, i)
+    return (north[::-1] if i == 2 else north), west, entries
+
+
+def test_a_wrong_frontier_at_a_middle_row_fails_global_roundtrip(capsys, monkeypatch):
+    # the strips north of row 2 come back reversed: the walk compares them with the forward state
+    # before it undoes row 1, and three-row matrices reach it from their last row
+    fault = (insertion, "uninsert_row", _uninsert_row_reversing_the_second_frontier)
+    argv = ["--n", "3", "--dim", "3", "--total", "3"]
+    rc, out = _planted_run(capsys, monkeypatch, fault, "verify", "global-roundtrip", *argv)
+    assert rc == 1
+    assert out.splitlines()[0] == (
+        "FAIL global roundtrip raised at [[0, 0, 1], [0, 0, 0], [0, 0, 1]]: "
+        "row 2 does not uninsert to its forward state"
+    )
 
 
 def test_each_suite_takes_exactly_its_signature(capsys):

@@ -15,6 +15,7 @@ from affine_insertion.insertion import (
     BoundedMatrix,
     InputNotBounded,
     InvalidPair,
+    MatrixWalk,
     WeightOverflow,
     affine_insert,
     affine_uninsert,
@@ -434,27 +435,32 @@ def _matrices_sharing_top_rows(draw):
 @given(_matrices_sharing_top_rows())
 def test_prefix_walk_matches_each_matrix(case):
     n, l, matrices = case
-    prefix = {}
+    walk = MatrixWalk(n, l)
     for m in matrices:
-        assert grassmannian_rsk(m, n, l, prefix=prefix) == grassmannian_rsk(m, n, l)
-    # a diagram request runs every row, and rows kept at another level or rank are not read
+        p, q = walk.insert(m)
+        assert (p, q) == grassmannian_rsk(m, n, l)
+        walk.uninsert(p, q)  # raises at a row that does not give back its forward state
+    # a diagram request runs every row, and a walk at another level or rank keeps rows of its own
     m = matrices[-1]
-    p, q, g = grassmannian_rsk(m, n, l, True, prefix)
+    p, q, g = grassmannian_rsk(m, n, l, True)
     assert (p, q) == grassmannian_rsk(m, n, l) and len(g.audits) == m.nrows * m.ncols
-    assert grassmannian_rsk(m, n, l + 1, prefix=prefix) == grassmannian_rsk(m, n, l + 1)
-    assert grassmannian_rsk(m, n + 1, l, prefix=prefix) == grassmannian_rsk(m, n + 1, l)
+    assert MatrixWalk(n, l + 1).insert(m) == grassmannian_rsk(m, n, l + 1)
+    assert MatrixWalk(n + 1, l).insert(m) == grassmannian_rsk(m, n + 1, l)
 
 
 def test_prefix_walk_runs_only_the_rows_it_does_not_share(monkeypatch):
-    rows = []
+    rows, undone = [], []
     monkeypatch.setattr(insertion, "insert_row", lambda *args, real=insertion.insert_row: rows.append(args[2]) or real(*args))
-    prefix = {}
+    monkeypatch.setattr(insertion, "uninsert_row", lambda *args, real=insertion.uninsert_row: undone.append(args[4]) or real(*args))
+    walk = MatrixWalk(4, 0)
     for m in ([[1, 0], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [1, 1], [0, 2]], [[1], [1]], [[1, 0], [1, 1], [0, 1]],
               [[0, 1], [1, 1]]):
-        grassmannian_rsk(BoundedMatrix.from_rows(m), 4, 0, prefix=prefix)
+        walk.uninsert(*walk.insert(BoundedMatrix.from_rows(m)))
     # the one-column matrix keeps its own rows, and the two-column ones go on sharing theirs
     assert rows == [[1, 0], [0, 1], [1, 1], [0, 2], [1], [1], [0, 1], [0, 1], [1, 1]]
-    assert len(prefix) == 2
+    assert len(walk.widths) == 2
+    # each uninsertion undoes, bottom up, just the rows its insertion ran
+    assert undone == [2, 1, 2, 3, 2, 1, 3, 2, 1]
 
 
 @pytest.mark.parametrize("return_diagram", [False, True])

@@ -209,6 +209,63 @@ def test_endpoint_mismatch():
         commutes_initial(bad, c)
 
 
+def _unchecked_weak_strip(inside, residues, outside):
+    """A WeakStrip record that skips its constructor's strip check."""
+    strip = object.__new__(WeakStrip)
+    WeakStrip._set_inside(strip, inside)
+    WeakStrip._set_residues(strip, frozenset(residues))
+    WeakStrip._set_outside(strip, outside)
+    return strip
+
+
+# Case B's inputs (test_case_b_example), whose cover is marked at residue 4 of A = {3, 4, 5}
+B_COVER = cover(6, [5, 0, 1, 9, -2, 8], -2, 1, [3, 0, 1, 11, -2, 8])
+B_OUTSIDE = W(6, [4, -1, 1, 12, -3, 8])
+
+# label -> (the call, its error, its message)
+STEP_PRECONDITIONS = {
+    "triple-endpoints": (
+        lambda: InitialTriple(wstrip(3, [1, 2, 3], (), [1, 2, 3]), StrongStrip(simple_reflection(3, 0), ()), 0),
+        EndpointMismatch, "initial triple must share its inside element",
+    ),
+    "internal-inside": (
+        lambda: internal_insert(FinalPair(wstrip(3, [1, 2, 3], (), [1, 2, 3]), empty_strip(3, [1, 2, 3])), B_COVER, 0),
+        PreconditionViolation, "internal insertion needs inside(W) = inside(C)",
+    ),
+    # no valid strip gets here: wherever W and C fail to commute, the residue of u(i) - 1 lies
+    # in A (so it was at every n <= 5, length <= 3).  This strip leaves that residue, 4, out
+    "internal-mark-residue": (
+        lambda: internal_insert(
+            FinalPair(_unchecked_weak_strip(B_COVER.inside, {3, 5}, B_OUTSIDE), StrongStrip(B_OUTSIDE, ())), B_COVER, 0
+        ),
+        PreconditionViolation, "noncommuting step requires the mark's residue in A",
+    ),
+    "reverse-outside": (
+        lambda: reverse_insert(
+            InitialPair(wstrip(4, [1, 8, -2, 3], {1}, [2, 8, -3, 3]), empty_strip(4, [1, 8, -2, 3])),
+            cover(4, [4, 5, -2, 3], -2, 1, [1, 8, -2, 3]), 0,
+        ),
+        PreconditionViolation, "reverse insertion needs outside(W') = outside(C')",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(*case, id=label) for label, case in STEP_PRECONDITIONS.items()
+])
+def test_step_preconditions_raise_on_mismatched_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_the_mark_residue_check_sees_the_strip_it_is_given():
+    # with A = {3, 4, 5} the same step is Case B (test_case_b_example)
+    weak = _unchecked_weak_strip(B_COVER.inside, {3, 4, 5}, B_OUTSIDE)
+    assert weak == wstrip(6, [5, 0, 1, 9, -2, 8], {3, 4, 5}, [4, -1, 1, 12, -3, 8])
+    assert internal_insert(FinalPair(weak, StrongStrip(B_OUTSIDE, ())), B_COVER, 0)[1] is CaseTag.B
+
+
 def _small_triples(n, l):
     """Every initial triple from an element of length <= 3, weak and strong
     strips of size <= 2 and e <= 2, with size(W) + e < n."""

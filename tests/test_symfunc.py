@@ -502,6 +502,13 @@ def test_cauchy_check_matches_the_reference_loop_at_n4():
     assert cauchy_check(4, 0, dx=3, vy=1) == _cauchy_reference(4, 0, dx=3, vy=1)
 
 
+def test_omega_coefficient_is_zero_where_the_kernel_has_no_term():
+    # Omega_n has no y-monomial with a part >= n, whatever the matrices with those sums count
+    assert symfunc.count_matrices((3, 1), (2, 2)) == 2
+    assert symfunc._omega_coefficient(4, (2, 2), (3, 1)) == 2
+    assert symfunc._omega_coefficient(3, (2, 2), (3, 1)) == 0
+
+
 def test_cauchy_planted_omega_gives_the_reference_mismatches(monkeypatch):
     omega = symfunc._omega_coefficient
     monkeypatch.setattr(symfunc, "_omega_coefficient", lambda n, a, b: omega(n, a, b) + (sum(a) == 1 and sum(b) == 2))
